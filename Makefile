@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build test race chaos fuzz-smoke replay-smoke triage-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke bench perf perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke
+check: vet lint vet-baseline-empty stack-budget build perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -44,6 +44,12 @@ vet-baseline-empty:
 
 build:
 	$(GO) build ./...
+
+# perfbench is a separate module the root build and tests never compile;
+# vet and build it so a kernel API change cannot break the benchmark
+# unnoticed.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./...
 
 test:
 	$(GO) test ./...

@@ -172,12 +172,12 @@ func (p Params) sensingMatrix() (*sensing.SparseBinary, error) {
 	return sensing.NewSparseBinaryLCG(p.M, p.N, p.D, p.Seed)
 }
 
-// sparsifier is the decoder's view of Ψ: synthesis into samples plus the
-// operator pair the solver consumes. Both the wavelet and DCT
-// transforms satisfy it.
+// sparsifier is the decoder's view of Ψ: synthesis and analysis over
+// caller-owned scratch, from which the decoder builds the solver's ΦΨ
+// operator. Both the wavelet and DCT transforms satisfy it.
 type sparsifier[T linalg.Float] interface {
-	Inverse(dst, coeffs []T)
-	SynthesisOp() linalg.Op[T]
+	ForwardTo(dst, x, scratch []T)
+	InverseTo(dst, coeffs, scratch []T)
 }
 
 // basis builds the shared sparsifying transform at the requested

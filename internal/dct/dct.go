@@ -78,6 +78,13 @@ func (t *Transform[T]) Inverse(dst, c []T) {
 	}
 }
 
+// ForwardTo is Forward in the scratch-taking form the decoder's basis
+// interface shares with the wavelet transform; the DCT needs no scratch.
+func (t *Transform[T]) ForwardTo(dst, x, _ []T) { t.Forward(dst, x) }
+
+// InverseTo is Inverse in the same scratch-taking form as ForwardTo.
+func (t *Transform[T]) InverseTo(dst, c, _ []T) { t.Inverse(dst, c) }
+
 // SynthesisOp exposes Ψ as a linalg.Op, mirroring the wavelet package:
 // Apply is synthesis (coefficients → samples), ApplyT analysis.
 func (t *Transform[T]) SynthesisOp() linalg.Op[T] {

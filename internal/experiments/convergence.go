@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+
 	"csecg/internal/core"
 	"csecg/internal/linalg"
 	"csecg/internal/metrics"
@@ -87,7 +89,9 @@ func gapAt(trace []float64, k int, fstar float64) float64 {
 		k = len(trace)
 	}
 	g := trace[k-1] - fstar
-	if g < 0 {
+	// A gap at the round-off level of F* is convergence, not progress:
+	// ratios against it would only compare rounding noise.
+	if g <= 1e-9*math.Abs(fstar) {
 		return 0
 	}
 	return g

@@ -67,7 +67,10 @@ func OpFromDense[T Float](m *Dense[T]) Op[T] {
 
 // Compose returns the operator (outer ∘ inner): x ↦ outer(inner(x)).
 // The CS recovery operator is Compose(Φ, Ψ) with Ψ the inverse-wavelet
-// synthesis operator.
+// synthesis operator. Each apply allocates its intermediate vector, so
+// one composed operator may be shared by concurrent goroutines (the
+// experiment runners do); a solver loop that must not allocate builds
+// its operator over buffers it owns instead, as core.Decoder does.
 func Compose[T Float](outer, inner Op[T]) Op[T] {
 	if inner.OutDim != outer.InDim {
 		panic("linalg: Compose dimension mismatch")

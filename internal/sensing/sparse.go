@@ -138,7 +138,8 @@ func (s *SparseBinary) AddMeasureInt(dst []int32, c int, x int16) {
 }
 
 // Op returns the real-valued operator view Φ (with the 1/√d scaling) for
-// the solver side, generic over the float width.
+// the solver side, generic over the float width. The operator keeps no
+// scratch state, so one Op may be applied from concurrent goroutines.
 func Op[T linalg.Float](s *SparseBinary) linalg.Op[T] {
 	scale := T(s.scale)
 	return linalg.Op[T]{
@@ -165,14 +166,39 @@ func Op[T linalg.Float](s *SparseBinary) linalg.Op[T] {
 			if len(dst) != s.n || len(y) != s.m {
 				panic("sensing: Op.ApplyT dimension mismatch")
 			}
-			for c := 0; c < s.n; c++ {
-				var acc T
-				for _, r := range s.Support(c) {
-					acc += y[r]
-				}
-				dst[c] = acc * scale
-			}
+			applyT(s, dst, y, scale)
 		},
+	}
+}
+
+// applyT computes dst = Φᵀy. Each column gathers its d rows in ascending
+// order; four columns advance together on separate accumulators, so
+// their add chains overlap instead of each waiting out the latency of
+// its own previous add.
+//
+//csecg:hotpath Φᵀ runs once per FISTA iteration
+func applyT[T linalg.Float](s *SparseBinary, dst, y []T, scale T) {
+	d := s.d
+	c := 0
+	for ; c+4 <= s.n; c += 4 {
+		sup := s.support[c*d:][:4*d]
+		s0, s1, s2, s3 := sup[:d], sup[d:2*d], sup[2*d:3*d], sup[3*d:]
+		s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
+		var a0, a1, a2, a3 T
+		for j, r := range s0 {
+			a0 += y[r]
+			a1 += y[s1[j]]
+			a2 += y[s2[j]]
+			a3 += y[s3[j]]
+		}
+		dst[c], dst[c+1], dst[c+2], dst[c+3] = a0*scale, a1*scale, a2*scale, a3*scale
+	}
+	for ; c < s.n; c++ {
+		var acc T
+		for _, r := range s.Support(c) {
+			acc += y[r]
+		}
+		dst[c] = acc * scale
 	}
 }
 
