@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build portable perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke bench perf perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke
+check: vet lint vet-baseline-empty stack-budget build portable perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -44,6 +44,13 @@ vet-baseline-empty:
 
 build:
 	$(GO) build ./...
+
+# portable vets and builds the tree for arm64, where the decoder runs on
+# the Go kernels instead of the amd64 AVX2 assembly: it keeps the
+# fallbacks building. On amd64, `go vet`'s asmdecl check keeps the .s
+# frames in step with their Go stubs.
+portable:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 # perfbench is a separate module the root build and tests never compile;
 # vet and build it so a kernel API change cannot break the benchmark

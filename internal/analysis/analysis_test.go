@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -166,6 +167,25 @@ func TestStackCheckGolden(t *testing.T) {
 	runGoldenModule(t, "stackcheck", StackCheck, func(ip string) Config {
 		return Config{DevicePackages: []string{ip}, StackBudgetConst: "stackBudget"}
 	})
+}
+
+// TestAsmStubGolden runs the whole suite over an assembly-backed device
+// package: the loader must pick the host's stub over its !amd64
+// fallback, every analyzer must tolerate the stubs' nil bodies, and
+// noalloc must treat a //go:noescape stub as an allocation-free leaf.
+func TestAsmStubGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the golden package's kernels are amd64 assembly")
+	}
+	dir := filepath.Join("testdata", "src", "asmstub")
+	const importPath = "asmstubtest"
+	pkg, fset, err := LoadDir(dir, importPath)
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
+	}
+	mod := &Module{Root: dir, Path: importPath, Fset: fset, Pkgs: []*Package{pkg}}
+	cfg := Config{DevicePackages: []string{importPath}}
+	matchWants(t, dir, RunModule(mod, cfg, Analyzers()))
 }
 
 // TestModuleIsClean is the end-to-end gate: the full suite over the

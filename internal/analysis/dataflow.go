@@ -128,15 +128,54 @@ type valueFlow struct {
 	untracked map[*types.Var]bool
 	// mute > 0 suppresses hooks (loop fixpoint passes).
 	mute int
-	// frames is the open loop stack for break/continue env collection.
+	// frames is the open stack of break/continue targets: loops,
+	// switches and selects, innermost last.
 	frames []*loopFrame
+	// label names the labeled statement about to open a frame.
+	label string
 	// analyzedLits dedups closure bodies across fixpoint re-execution.
 	analyzedLits map[*ast.FuncLit]bool
 }
 
+// loopFrame collects the envs that leave one break/continue target.
+// Switch and select frames are break-only: an unlabeled continue inside
+// them belongs to the innermost enclosing loop.
 type loopFrame struct {
 	breakEnv    absEnv
 	continueEnv absEnv
+	loop        bool   // a for or range loop, the only continue target
+	label       string // the statement's label, or ""
+}
+
+// pushFrame opens a break/continue target for the statement being
+// executed, claiming the label of an enclosing LabeledStmt.
+func (f *valueFlow) pushFrame(loop bool) *loopFrame {
+	fr := &loopFrame{loop: loop, label: f.label}
+	f.label = ""
+	f.frames = append(f.frames, fr)
+	return fr
+}
+
+// branchTarget resolves the frame a break or continue leaves: the
+// innermost frame that can take it, or the frame with its label. It
+// returns nil when no open frame matches.
+func (f *valueFlow) branchTarget(s *ast.BranchStmt) *loopFrame {
+	for i := len(f.frames) - 1; i >= 0; i-- {
+		fr := f.frames[i]
+		switch {
+		case s.Label != nil:
+			if fr.label == s.Label.Name {
+				return fr
+			}
+		case s.Tok == token.CONTINUE:
+			if fr.loop {
+				return fr
+			}
+		default:
+			return fr
+		}
+	}
+	return nil
 }
 
 // analyzeFuncBody runs the engine over one declared function.
@@ -905,6 +944,10 @@ func (f *valueFlow) execStmt(s ast.Stmt, env absEnv) absEnv {
 	case *ast.BranchStmt:
 		return f.execBranch(s, env)
 	case *ast.LabeledStmt:
+		switch s.Stmt.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			f.label = s.Label.Name
+		}
 		return f.execStmt(s.Stmt, env)
 	case *ast.GoStmt:
 		f.eval(env, s.Call)
@@ -1080,8 +1123,7 @@ func (f *valueFlow) execLoopBody(
 	runOnce func(head absEnv) absEnv, // body (+post); returns fall-through env
 	exitOf func(head absEnv) absEnv, // env after the loop condition fails
 ) absEnv {
-	frame := &loopFrame{}
-	f.frames = append(f.frames, frame)
+	frame := f.pushFrame(true)
 	f.mute++
 	cur := cloneEnv(entry)
 	for iter := 0; ; iter++ {
@@ -1209,30 +1251,19 @@ func (f *valueFlow) execRange(s *ast.RangeStmt, env absEnv) absEnv {
 }
 
 func (f *valueFlow) execBranch(s *ast.BranchStmt, env absEnv) absEnv {
-	if len(f.frames) == 0 {
+	if s.Tok != token.BREAK && s.Tok != token.CONTINUE {
+		// fallthrough is taken by execSwitch before the statement runs;
+		// goto bodies are not analyzed.
 		return nil
 	}
-	switch s.Tok {
-	case token.BREAK:
-		// Unlabeled: innermost frame. Labeled: conservatively join into
-		// every open frame (wider envs at all exits stay sound).
-		if s.Label == nil {
-			fr := f.frames[len(f.frames)-1]
-			fr.breakEnv = joinEnv(fr.breakEnv, cloneEnv(env))
-		} else {
-			for _, fr := range f.frames {
-				fr.breakEnv = joinEnv(fr.breakEnv, cloneEnv(env))
-			}
-		}
-	case token.CONTINUE:
-		if s.Label == nil {
-			fr := f.frames[len(f.frames)-1]
-			fr.continueEnv = joinEnv(fr.continueEnv, cloneEnv(env))
-		} else {
-			for _, fr := range f.frames {
-				fr.continueEnv = joinEnv(fr.continueEnv, cloneEnv(env))
-			}
-		}
+	fr := f.branchTarget(s)
+	if fr == nil {
+		return nil
+	}
+	if s.Tok == token.BREAK {
+		fr.breakEnv = joinEnv(fr.breakEnv, cloneEnv(env))
+	} else {
+		fr.continueEnv = joinEnv(fr.continueEnv, cloneEnv(env))
 	}
 	return nil
 }
@@ -1251,9 +1282,8 @@ func (f *valueFlow) execSwitch(s *ast.SwitchStmt, env absEnv) absEnv {
 		f.eval(env, s.Tag)
 		tagIdent = s.Tag
 	}
-	// switch gets an implicit breakable frame.
-	frame := &loopFrame{}
-	f.frames = append(f.frames, frame)
+	// switch gets an implicit break-only frame.
+	frame := f.pushFrame(false)
 
 	residual := cloneEnv(env)
 	var exits absEnv
@@ -1289,14 +1319,21 @@ func (f *valueFlow) execSwitch(s *ast.SwitchStmt, env absEnv) absEnv {
 		}
 		caseEnv = joinEnv(caseEnv, fallEnv)
 		fallEnv = nil
+		// A trailing fallthrough carries the env reaching it into the
+		// next clause's body.
+		body := cc.Body
+		falls := endsInFallthrough(body) && ci+1 < len(clauses)
+		if falls {
+			body = body[:len(body)-1]
+		}
 		out := caseEnv
-		for _, st := range cc.Body {
+		for _, st := range body {
 			out = f.execStmt(st, out)
 			if out == nil {
 				break
 			}
 		}
-		if endsInFallthrough(cc.Body) && ci+1 < len(clauses) {
+		if falls {
 			fallEnv = out
 			continue
 		}
@@ -1330,8 +1367,7 @@ func (f *valueFlow) execTypeSwitch(s *ast.TypeSwitchStmt, env absEnv) absEnv {
 	if env == nil {
 		return nil
 	}
-	frame := &loopFrame{}
-	f.frames = append(f.frames, frame)
+	frame := f.pushFrame(false)
 	var exits absEnv
 	for _, c := range s.Body.List {
 		cc, ok := c.(*ast.CaseClause)
@@ -1355,8 +1391,7 @@ func (f *valueFlow) execTypeSwitch(s *ast.TypeSwitchStmt, env absEnv) absEnv {
 }
 
 func (f *valueFlow) execSelect(s *ast.SelectStmt, env absEnv) absEnv {
-	frame := &loopFrame{}
-	f.frames = append(f.frames, frame)
+	frame := f.pushFrame(false)
 	var exits absEnv
 	for _, c := range s.Body.List {
 		cc, ok := c.(*ast.CommClause)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -108,7 +109,10 @@ func (l *loader) discover() error {
 	})
 }
 
-// goSources lists the non-test .go files of dir in name order.
+// goSources lists the non-test .go files of dir that the host
+// GOOS/GOARCH builds, in name order. File-name suffixes (_amd64.go) and
+// //go:build lines are honoured, so an assembly stub and its portable
+// fallback never type-check together as a redeclaration.
 func goSources(dir string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -119,6 +123,9 @@ func goSources(dir string) []string {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") ||
 			strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err == nil && !ok {
 			continue
 		}
 		out = append(out, filepath.Join(dir, n))

@@ -282,6 +282,9 @@ func (s spanSet) covers(pos token.Pos) bool {
 // a default clause — channel ops there never block.
 func (lc *lockChecker) nonBlockingCommSpans(n *FuncNode) spanSet {
 	var out spanSet
+	if !n.InModule() {
+		return out // no body: an assembly stub or an external function
+	}
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		sel, ok := node.(*ast.SelectStmt)
 		if !ok || selectBlocking(sel) {
@@ -349,6 +352,9 @@ func runLockCheck(p *ModulePass) {
 // walkFunction tracks the held-lock set through one body in source
 // order and reports blocking operations inside critical sections.
 func (lc *lockChecker) walkFunction(n *FuncNode) {
+	if !n.InModule() {
+		return // no body: an assembly stub or an external function
+	}
 	info := n.Pkg.Info
 	dirs := lc.p.Dirs(n.Pkg)
 	nonBlockingComm := lc.nonBlockingCommSpans(n)

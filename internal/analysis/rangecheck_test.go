@@ -69,3 +69,41 @@ func TestFixedpointClampRemovalDetected(t *testing.T) {
 		t.Errorf("expected a truncation finding on the unclamped Q15 conversion, got: %v", diags)
 	}
 }
+
+// runScratch type-checks one source file as a device package and runs
+// rangecheck over it.
+func runScratch(t *testing.T, code string) []Diagnostic {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(code), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const ip = "scratchpkg"
+	pkg, fset, err := LoadDir(dir, ip)
+	if err != nil {
+		t.Fatalf("type-checking: %v", err)
+	}
+	return RunPackage(fset, pkg, Config{DevicePackages: []string{ip}}, []*Analyzer{RangeCheck})
+}
+
+// TestScratchControl: accumulation in a plain loop must report int16
+// overflow. It is the control for the loop/switch cases in the
+// rangecheck golden module's controlflow.go.
+func TestScratchControl(t *testing.T) {
+	diags := runScratch(t, `package scratchpkg
+
+func F(n int) int16 {
+	var acc int16
+	for i := 0; i < n; i++ {
+		acc += 1000
+	}
+	return acc
+}
+`)
+	if len(diags) == 0 {
+		t.Error("control: expected overflow finding, got none")
+	}
+	for _, d := range diags {
+		t.Logf("control: %s", d)
+	}
+}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"go/types"
 )
@@ -57,6 +58,14 @@ func runNoAllocTransitive(p *ModulePass) {
 				d = fmt.Sprintf("%s (%s)", form, p.Fset.Position(pos))
 				return false
 			})
+		case n.Decl != nil:
+			// A bodyless module declaration is an assembly stub: a leaf
+			// that allocates nothing itself. Without //go:noescape the
+			// compiler must assume its pointer arguments escape, so the
+			// caller's stack buffers move to the heap.
+			if !hasGoDirective(n.Decl.Doc, "noescape") && hasPointerParam(n.Fn) {
+				d = "assembly stub without //go:noescape: its pointer arguments escape to the heap"
+			}
 		default:
 			d = stdlibAllocating[n.Fn.FullName()]
 		}
@@ -85,6 +94,38 @@ func runNoAllocTransitive(p *ModulePass) {
 				root.ShortName(), FormatChain(root, path), desc),
 			"make the callee allocation-free (annotate it //csecg:hotpath to pin that), or waive the call with //csecg:allocok")
 	}
+}
+
+// hasGoDirective reports whether cg holds the compiler directive
+// //go:<name>.
+func hasGoDirective(cg *ast.CommentGroup, name string) bool {
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		if c.Text == "//go:"+name {
+			return true
+		}
+	}
+	return false
+}
+
+// hasPointerParam reports whether any parameter of fn carries a pointer
+// the callee could retain: a pointer, slice, string, map, channel,
+// function, interface or unsafe.Pointer.
+func hasPointerParam(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		switch t := params.At(i).Type().Underlying().(type) {
+		case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+			return true
+		case *types.Basic:
+			if t.Kind() == types.String || t.Kind() == types.UnsafePointer {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // runNoFPUTransitive flags non-host device functions that reach

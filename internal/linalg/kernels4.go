@@ -68,21 +68,21 @@ func SoftThreshold4[T Float](dst, u []T, t T) {
 	}
 	n4 := len(u) &^ 3
 	for i := 0; i < n4; i += 4 {
-		dst[i] = shrinkBranchless(u[i], t)
-		dst[i+1] = shrinkBranchless(u[i+1], t)
-		dst[i+2] = shrinkBranchless(u[i+2], t)
-		dst[i+3] = shrinkBranchless(u[i+3], t)
+		dst[i] = ShrinkBranchless(u[i], t)
+		dst[i+1] = ShrinkBranchless(u[i+1], t)
+		dst[i+2] = ShrinkBranchless(u[i+2], t)
+		dst[i+3] = ShrinkBranchless(u[i+3], t)
 	}
 	for i := n4; i < len(u); i++ {
-		dst[i] = shrinkBranchless(u[i], t)
+		dst[i] = ShrinkBranchless(u[i], t)
 	}
 }
 
-// shrinkBranchless computes sign(v)·max(|v|−t, 0) without branches:
+// ShrinkBranchless computes sign(v)·max(|v|−t, 0) without branches:
 // comparisons become 0/1 values exactly as in the paper's NEON
 // implementation (vcgt + vbsl), which the Go compiler lowers to
 // conditional moves.
-func shrinkBranchless[T Float](v, t T) T {
+func ShrinkBranchless[T Float](v, t T) T {
 	av := v
 	if av < 0 { // |v|: compiles to ANDPS/conditional move, no branch needed
 		av = -v

@@ -17,6 +17,14 @@
 // cycle-cost model in internal/coordinator, which charges VFP costs to
 // the scalar shapes and NEON costs to the 4-wide shapes.
 //
+// FISTA no longer calls the vector kernels one by one: it fuses the
+// step, shrink, restart test and norms into one pass over the scalar
+// shrinks Shrink and ShrinkBranchless, so in FISTA the VFP/NEON choice
+// selects only the shrink form and the cost model. The real SIMD work
+// of the decoder is in the operators: internal/sensing and
+// internal/wavelet run their float32 kernels in AVX2 assembly on amd64,
+// bit-identical to their Go kernels.
+//
 // All kernels are generic over float32 and float64 so the same solver
 // code instantiates as the paper's "iPhone (32-bit)" and "Matlab
 // (64-bit)" configurations.
@@ -136,15 +144,21 @@ func SoftThreshold[T Float](dst, u []T, t T) {
 		panic("linalg: SoftThreshold length mismatch")
 	}
 	for i, v := range u {
-		switch {
-		case v > t:
-			dst[i] = v - t
-		case v < -t:
-			dst[i] = v + t
-		default:
-			dst[i] = 0
-		}
+		dst[i] = Shrink(v, t)
 	}
+}
+
+// Shrink is the scalar branchy shrinkage sign(v)·max(|v|−t, 0) of
+// SoftThreshold. It returns +0 inside the dead zone, where
+// ShrinkBranchless may return −0.
+func Shrink[T Float](v, t T) T {
+	switch {
+	case v > t:
+		return v - t
+	case v < -t:
+		return v + t
+	}
+	return 0
 }
 
 // CopyInto copies src into dst, panicking on length mismatch. A thin

@@ -120,7 +120,7 @@ func TestSoftThresholdShrinksTowardZero(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return true
 		}
-		got := shrinkBranchless(v, tt)
+		got := ShrinkBranchless(v, tt)
 		if math.Abs(got) > math.Abs(v)+1e-12 {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"csecg/internal/cpufeat"
 	"csecg/internal/linalg"
 )
 
@@ -73,10 +74,13 @@ func sameBits[T linalg.Float](a, b T) bool {
 func checkOpBitExact[T linalg.Float](t *testing.T, name string) {
 	shapes := []struct{ m, n, d int }{
 		{256, 512, 12}, // CR 50, the headline operating point
-		{103, 512, 12}, // M not a multiple of 4
+		{103, 512, 12}, // M not a multiple of 4 or 8
 		{154, 511, 7},  // N not a multiple of 4: the per-column tail
+		{103, 511, 12}, // neither M nor N a multiple of 8
+		{9, 16, 9},     // d = M: every row holds every column
 		{3, 6, 3},      // fewer columns than one 4-column step
 	}
+	negZero := T(math.Copysign(0, -1))
 	for _, sh := range shapes {
 		s, err := NewSparseBinary(sh.m, sh.n, sh.d, uint64(sh.m*sh.n))
 		if err != nil {
@@ -85,53 +89,124 @@ func checkOpBitExact[T linalg.Float](t *testing.T, name string) {
 		op := Op[T](s)
 		x := zeroHeavy[T](sh.n, 11)
 		y := zeroHeavy[T](sh.m, 13)
-		got, want := make([]T, sh.m), make([]T, sh.m)
-		op.Apply(got, x)
-		refApply(s, want, x)
-		for i := range want {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("%s %dx%d Apply[%d] = %v, reference %v", name, sh.m, sh.n, i, got[i], want[i])
-			}
+		// All −0 inputs: every output must be the +0 of an empty sum.
+		xz, yz := make([]T, sh.n), make([]T, sh.m)
+		for i := range xz {
+			xz[i] = negZero
 		}
-		gotT, wantT := make([]T, sh.n), make([]T, sh.n)
-		op.ApplyT(gotT, y)
-		refApplyT(s, wantT, y)
-		for i := range wantT {
-			if !sameBits(gotT[i], wantT[i]) {
-				t.Fatalf("%s %dx%d ApplyT[%d] = %v, reference %v", name, sh.m, sh.n, i, gotT[i], wantT[i])
-			}
+		for i := range yz {
+			yz[i] = negZero
+		}
+		// No zero entries: a padded lane of the row gather that read a
+		// real entry instead of adding +0 would show.
+		xd, yd := make([]T, sh.n), make([]T, sh.m)
+		for i := range xd {
+			xd[i] = T(i%37) - 18.5
+		}
+		for i := range yd {
+			yd[i] = T(i%23) + 0.25
+		}
+		for _, in := range []struct{ x, y []T }{{x, y}, {xz, yz}, {xd, yd}} {
+			checkOpOn(t, name, s, op, in.x, in.y)
 		}
 	}
 }
 
-func TestOpBitIdenticalToReference(t *testing.T) {
-	checkOpBitExact[float32](t, "float32")
-	checkOpBitExact[float64](t, "float64")
+func checkOpOn[T linalg.Float](t *testing.T, name string, s *SparseBinary, op linalg.Op[T], x, y []T) {
+	t.Helper()
+	got, want := make([]T, s.m), make([]T, s.m)
+	op.Apply(got, x)
+	refApply(s, want, x)
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s %dx%d Apply[%d] = %v, reference %v", name, s.m, s.n, i, got[i], want[i])
+		}
+	}
+	gotT, wantT := make([]T, s.n), make([]T, s.n)
+	op.ApplyT(gotT, y)
+	refApplyT(s, wantT, y)
+	for i := range wantT {
+		if !sameBits(gotT[i], wantT[i]) {
+			t.Fatalf("%s %dx%d ApplyT[%d] = %v, reference %v", name, s.m, s.n, i, gotT[i], wantT[i])
+		}
+	}
 }
 
-// BenchmarkApplyTReference and BenchmarkApplyT time the column-at-a-time
-// loop against the four-column kernel at CR 50 (256×512, d = 12).
-func BenchmarkApplyTReference(b *testing.B) {
+// TestOpBitIdenticalToReference holds both dispatch paths to the
+// reference loops: the portable Go kernels and, where the CPU has AVX2,
+// the gather kernels Op selects for float32.
+func TestOpBitIdenticalToReference(t *testing.T) {
+	for _, simd := range []bool{false, true} {
+		name := "go"
+		if simd {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			if simd && !cpufeat.HasAVX2 {
+				t.Skip("CPU without AVX2")
+			}
+			saved := useAVX2
+			useAVX2 = simd
+			defer func() { useAVX2 = saved }()
+			checkOpBitExact[float32](t, "float32")
+			checkOpBitExact[float64](t, "float64")
+		})
+	}
+}
+
+// The benchmarks time the reference loops against the production
+// kernels at CR 50 (256×512, d = 12): the Go kernels (…Go) and the
+// kernels Op selects on this CPU.
+//
+//	go test -run '^$' -bench Apply ./internal/sensing
+
+func benchOp(b *testing.B, simd bool, f func(s *SparseBinary, op linalg.Op[float32], x, y []float32)) {
 	s, err := NewSparseBinary(256, 512, 12, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	y, dst := zeroHeavy[float32](256, 3), make([]float32, 512)
+	saved := useAVX2
+	useAVX2 = simd
+	op := Op[float32](s)
+	useAVX2 = saved
+	// Φ's input is a reconstructed window, dense in practice; Φᵀ's
+	// input is a residual.
+	x, y := make([]float32, 512), zeroHeavy[float32](256, 3)
+	for i := range x {
+		x[i] = float32(i%37) - 18.5
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refApplyT(s, dst, y)
+		f(s, op, x, y)
 	}
+}
+
+func BenchmarkApplyReference(b *testing.B) {
+	dst := make([]float32, 256)
+	benchOp(b, false, func(s *SparseBinary, _ linalg.Op[float32], x, _ []float32) { refApply(s, dst, x) })
+}
+
+func BenchmarkApplyGo(b *testing.B) {
+	dst := make([]float32, 256)
+	benchOp(b, false, func(_ *SparseBinary, op linalg.Op[float32], x, _ []float32) { op.Apply(dst, x) })
+}
+
+func BenchmarkApply(b *testing.B) {
+	dst := make([]float32, 256)
+	benchOp(b, useAVX2, func(_ *SparseBinary, op linalg.Op[float32], x, _ []float32) { op.Apply(dst, x) })
+}
+
+func BenchmarkApplyTReference(b *testing.B) {
+	dst := make([]float32, 512)
+	benchOp(b, false, func(s *SparseBinary, _ linalg.Op[float32], _, y []float32) { refApplyT(s, dst, y) })
+}
+
+func BenchmarkApplyTGo(b *testing.B) {
+	dst := make([]float32, 512)
+	benchOp(b, false, func(_ *SparseBinary, op linalg.Op[float32], _, y []float32) { op.ApplyT(dst, y) })
 }
 
 func BenchmarkApplyT(b *testing.B) {
-	s, err := NewSparseBinary(256, 512, 12, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	op := Op[float32](s)
-	y, dst := zeroHeavy[float32](256, 3), make([]float32, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op.ApplyT(dst, y)
-	}
+	dst := make([]float32, 512)
+	benchOp(b, useAVX2, func(_ *SparseBinary, op linalg.Op[float32], _, y []float32) { op.ApplyT(dst, y) })
 }

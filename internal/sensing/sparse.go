@@ -140,7 +140,13 @@ func (s *SparseBinary) AddMeasureInt(dst []int32, c int, x int16) {
 // Op returns the real-valued operator view Φ (with the 1/√d scaling) for
 // the solver side, generic over the float width. The operator keeps no
 // scratch state, so one Op may be applied from concurrent goroutines.
+//
+// On amd64 CPUs with AVX2, a float32 operator runs on the gather
+// kernels of avx2Op, which give bit-identical results.
 func Op[T linalg.Float](s *SparseBinary) linalg.Op[T] {
+	if op, ok := opAVX2[T](s); ok {
+		return op
+	}
 	scale := T(s.scale)
 	return linalg.Op[T]{
 		InDim:  s.n,

@@ -20,10 +20,19 @@
 //
 // The solvers are generic over float32/float64. The float32 instance is
 // the paper's "iPhone (32-bit)" decoder and the float64 instance the
-// "Matlab (64-bit)" reference of Fig. 6. A Vectorized option switches
-// the inner kernels between the scalar ("VFP") and 4-wide unrolled
-// ("NEON") variants, which the coordinator cycle model prices
-// differently.
+// "Matlab (64-bit)" reference of Fig. 6.
+//
+// Each FISTA iteration runs the operator's Apply and ApplyT, then one
+// fused pass (proxStep) that forms the shrunk iterate and, from the
+// same loads, the restart test and both norms of the stopping rule,
+// then one momentum pass. The Vectorized option ("NEON", versus the
+// scalar "VFP" reference) now chooses only the form of the shrink —
+// the if-converted ShrinkBranchless or the branchy Shrink, which differ
+// only in the sign of zero outputs — and, in internal/coordinator, the
+// cycle-cost model that prices the iteration. ISTA and TwIST still run
+// the separate 4-wide or scalar linalg kernels. The measured speed of
+// both modes comes from the operators, whose float32 forms run on AVX2
+// assembly kernels on amd64 (internal/sensing, internal/wavelet).
 package solver
 
 import (
@@ -51,8 +60,9 @@ type Options[T linalg.Float] struct {
 	// Lipschitz is the constant L = 2·λmax(AᵀA). If zero, it is
 	// estimated by power iteration (30 rounds) before the run.
 	Lipschitz T
-	// Vectorized selects the 4-wide unrolled kernels (the NEON path).
-	// The scalar path is the VFP reference.
+	// Vectorized selects the NEON path: the if-converted shrink in
+	// FISTA, the 4-wide unrolled kernels in ISTA and TwIST. The scalar
+	// path is the VFP reference.
 	Vectorized bool
 	// X0, when non-nil, warm-starts the iteration; the solver only
 	// reads it. The packet decoder passes the previous window's
@@ -148,42 +158,35 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 	tk := T(1)
 	dl := newDeadline(&opt)
 	res := Result[T]{Lambda: opt.Lambda, Lipschitz: opt.Lipschitz}
+	// The step (2/L)·Aᵀ(Ay_k − y) is formed as (2·(1/L))·g: doubling is
+	// exact, so this is bit-identical to scaling the gradient by 2 and
+	// then by 1/L, the order of Eq. (4).
+	step := 2 * (1 / opt.Lipschitz)
+	thresh := opt.Lambda / opt.Lipschitz
 	for k := 1; k <= opt.MaxIter; k++ {
-		// α_k = prox_{λ/L}(y_k − (1/L)∇f(y_k)), Eq. (4), formed in α_k's
-		// buffer so that y_k survives for the restart test.
-		st.gradient(grad, yk)
+		st.halfGradient(grad, yk)
 		var residual T
 		if opt.Trace != nil {
 			// st.r still holds Ay_k − y from the gradient evaluation;
 			// read it before the objective computation reuses the buffer.
 			residual = linalg.Norm2(st.r)
 		}
-		step := 1 / opt.Lipschitz
-		copy(alpha, yk)
-		if st.vec {
-			linalg.Axpy4(-step, grad, alpha)
-			linalg.SoftThreshold4(alpha, alpha, opt.Lambda/opt.Lipschitz)
-		} else {
-			linalg.Axpy(-step, grad, alpha)
-			linalg.SoftThreshold(alpha, alpha, opt.Lambda/opt.Lipschitz)
-		}
+		// α_k = prox_{λ/L}(y_k − (1/L)∇f(y_k)), Eq. (4), formed in α_k's
+		// buffer so that y_k survives for the restart test.
+		p := proxStep(alpha, alphaPrev, yk, grad, step, thresh, st.vec)
 		// Gradient restart: (y_k − α_k) is the step's descent direction
 		// up to 1/L, so a positive inner product with the last move
 		// α_k − α_{k−1} means the momentum has carried the iterate
 		// uphill. Restarting t makes this iteration's momentum zero.
-		if restartDot(yk, alpha, alphaPrev) > 0 {
+		if p.restart > 0 {
 			tk = 1
 		}
 		// t_{k+1}, Eq. (5).
 		tNext := (1 + T(math.Sqrt(float64(1+4*tk*tk)))) / 2
 		// y_{k+1} = α_k + ((t_k−1)/t_{k+1})(α_k − α_{k−1}), Eq. (6).
 		beta := (tk - 1) / tNext
-		if st.vec {
-			linalg.Combine4(yk, alpha, alphaPrev, beta)
-		} else {
-			for i := range yk {
-				yk[i] = alpha[i] + beta*(alpha[i]-alphaPrev[i])
-			}
+		for i := range yk {
+			yk[i] = alpha[i] + beta*(alpha[i]-alphaPrev[i])
 		}
 		tk = tNext
 		res.Iterations = k
@@ -194,10 +197,11 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 			opt.Trace(k, IterSample{
 				Objective: float64(st.objective(alpha, opt.Lambda)),
 				Residual:  float64(residual),
-				Step:      float64(stepNorm(alpha, alphaPrev)),
+				Step:      float64(T(math.Sqrt(p.step2))),
 			})
 		}
-		if st.converged(alpha, alphaPrev, opt.Tol) {
+		// The relative-step stopping rule ‖α_k − α_{k−1}‖₂ / max(1, ‖α_k‖₂).
+		if opt.Tol >= 0 && math.Sqrt(p.step2)/max(1, math.Sqrt(p.norm2)) < opt.Tol {
 			res.Converged = true
 			copy(alphaPrev, alpha)
 			break
@@ -216,6 +220,40 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 	res.X = alphaPrev
 	res.Objective = st.objective(res.X, opt.Lambda)
 	return res, nil
+}
+
+// proxSums are the float64 sums proxStep gathers while forming α_k.
+type proxSums struct {
+	restart float64 // (y_k − α_k)·(α_k − α_{k−1}), the restart test
+	step2   float64 // ‖α_k − α_{k−1}‖₂²
+	norm2   float64 // ‖α_k‖₂²
+}
+
+// proxStep is FISTA's proximal-gradient step in one pass: it forms
+// α = shrink(y − step·g, thresh) and, from the same loads, the sums of
+// proxSums. The shrink is the scalar branchy form, or the if-converted
+// form of the NEON path when branchless is set; they differ only in
+// the sign of zero outputs.
+//
+//csecg:hotpath the fused vector step of every FISTA iteration
+func proxStep[T linalg.Float](alpha, prev, y, g []T, step, thresh T, branchless bool) proxSums {
+	prev, y, g = prev[:len(alpha)], y[:len(alpha)], g[:len(alpha)]
+	var s proxSums
+	for i := range alpha {
+		v := y[i] - step*g[i]
+		var a T
+		if branchless {
+			a = linalg.ShrinkBranchless(v, thresh)
+		} else {
+			a = linalg.Shrink(v, thresh)
+		}
+		d := float64(a - prev[i])
+		s.restart += float64(y[i]-a) * d
+		s.step2 += d * d
+		s.norm2 += float64(a) * float64(a)
+		alpha[i] = a
+	}
+	return s
 }
 
 // ISTA is the unaccelerated baseline (O(1/k) vs FISTA's O(1/k²)); the
@@ -318,15 +356,16 @@ func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T]
 	return st, nil
 }
 
+// halfGradient computes ∇f(x)/2 = Aᵀ(Ax − y) into dst.
+func (st *state[T]) halfGradient(dst, x []T) {
+	st.a.Apply(st.r, x)
+	linalg.Sub(st.r, st.r, st.y)
+	st.a.ApplyT(dst, st.r)
+}
+
 // gradient computes ∇f(x) = 2·Aᵀ(Ax − y) into dst.
 func (st *state[T]) gradient(dst, x []T) {
-	st.a.Apply(st.r, x)
-	if st.vec {
-		linalg.Sub4(st.r, st.r, st.y)
-	} else {
-		linalg.Sub(st.r, st.r, st.y)
-	}
-	st.a.ApplyT(dst, st.r)
+	st.halfGradient(dst, x)
 	if st.vec {
 		linalg.Axpy4(1, dst, dst) // ×2 via dst += dst
 	} else {
@@ -339,16 +378,6 @@ func (st *state[T]) objective(x []T, lambda T) T {
 	linalg.Sub(st.r, st.r, st.y)
 	n2 := linalg.Norm2(st.r)
 	return n2*n2 + lambda*linalg.Norm1(x)
-}
-
-// restartDot returns (y − cur)·(cur − prev), the gradient-restart test
-// of FISTA, accumulated in float64 like stepNorm.
-func restartDot[T linalg.Float](y, cur, prev []T) float64 {
-	var s float64
-	for i := range cur {
-		s += float64(y[i]-cur[i]) * float64(cur[i]-prev[i])
-	}
-	return s
 }
 
 // stepNorm computes ‖cur − prev‖₂ without scratch allocation (it runs

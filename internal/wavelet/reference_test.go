@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"csecg/internal/cpufeat"
 	"csecg/internal/linalg"
 )
 
@@ -14,7 +15,9 @@ import (
 // The production kernels reorder the work across outputs (separate
 // accumulators, a branch-free interior, synthesis as a gather) but keep
 // every output's own summation order, so they must agree with this code
-// bit for bit, not merely to a tolerance.
+// bit for bit, not merely to a tolerance. Both dispatch paths are held
+// to it: the portable Go kernels and, where the CPU has AVX2, the
+// assembly kernels New selects for float32.
 
 func refForward[T linalg.Float](t *Transform[T], dst, x []T) {
 	buf := make([]T, t.n)
@@ -158,33 +161,84 @@ func checkKernelsBitExact[T linalg.Float](t *testing.T, name string) {
 	}
 }
 
-func TestKernelsBitIdenticalToReference(t *testing.T) {
-	checkKernelsBitExact[float32](t, "float32")
-	checkKernelsBitExact[float64](t, "float64")
+// forEachKernelPath runs f with transforms built on the Go kernels and,
+// when the CPU supports them, on the AVX2 kernels.
+func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
+	for _, simd := range []bool{false, true} {
+		name := "go"
+		if simd {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			if simd && !cpufeat.HasAVX2 {
+				t.Skip("CPU without AVX2")
+			}
+			saved := useAVX2
+			useAVX2 = simd
+			defer func() { useAVX2 = saved }()
+			f(t)
+		})
+	}
 }
 
-func TestTransformToAllocatesNothing(t *testing.T) {
-	tr, err := New[float32](4, 512, 5)
+func TestKernelsBitIdenticalToReference(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		checkKernelsBitExact[float32](t, "float32")
+		checkKernelsBitExact[float64](t, "float64")
+	})
+}
+
+// TestDispatchSelectsAVX2 pins which transforms get the AVX2 kernels:
+// float32 ones on an AVX2 CPU, never float64 ones.
+func TestDispatchSelectsAVX2(t *testing.T) {
+	t32, err := New[float32](4, 512, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := bitsFixture[float32](512, 9)
-	dst, scratch := make([]float32, 512), make([]float32, 512)
-	if avg := testing.AllocsPerRun(20, func() {
-		tr.ForwardTo(dst, x, scratch)
-		tr.InverseTo(dst, dst, scratch)
-	}); avg != 0 {
-		t.Errorf("ForwardTo+InverseTo allocate %.1f times per call pair, want 0", avg)
+	t64, err := New[float64](4, 512, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := t32.avx2 != nil; got != cpufeat.HasAVX2 {
+		t.Errorf("float32 transform on AVX2 kernels = %v, CPU has AVX2 = %v", got, cpufeat.HasAVX2)
+	}
+	if t64.avx2 != nil {
+		t.Error("float64 transform selected the float32 AVX2 kernels")
 	}
 }
 
+func TestTransformToAllocatesNothing(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		tr, err := New[float32](4, 512, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := bitsFixture[float32](512, 9)
+		dst, scratch := make([]float32, 512), make([]float32, 512)
+		if avg := testing.AllocsPerRun(20, func() {
+			tr.ForwardTo(dst, x, scratch)
+			tr.InverseTo(dst, dst, scratch)
+		}); avg != 0 {
+			t.Errorf("ForwardTo+InverseTo allocate %.1f times per call pair, want 0", avg)
+		}
+	})
+}
+
 // The benchmarks below time the reference loops against the production
-// kernels on the decoder's db4, 5-level, 512-sample transform:
+// kernels (Go and, where available, AVX2) on the decoder's db4,
+// 5-level, 512-sample transform:
 //
-//	go test -run '^$' -bench 'Reference|To$' ./internal/wavelet
+//	go test -run '^$' -bench 'Reference|To' ./internal/wavelet
 
 func benchTransform(b *testing.B, f func(tr *Transform[float32], dst, x, scratch []float32)) {
+	benchTransformOn(b, useAVX2, f)
+}
+
+func benchTransformOn(b *testing.B, simd bool, f func(tr *Transform[float32], dst, x, scratch []float32)) {
+	saved := useAVX2
+	useAVX2 = simd
 	tr, err := New[float32](4, 512, 5)
+	useAVX2 = saved
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,4 +264,12 @@ func BenchmarkInverseReference(b *testing.B) {
 
 func BenchmarkInverseTo(b *testing.B) {
 	benchTransform(b, (*Transform[float32]).InverseTo)
+}
+
+func BenchmarkForwardToGo(b *testing.B) {
+	benchTransformOn(b, false, (*Transform[float32]).ForwardTo)
+}
+
+func BenchmarkInverseToGo(b *testing.B) {
+	benchTransformOn(b, false, (*Transform[float32]).InverseTo)
 }

@@ -30,6 +30,9 @@ type Transform[T linalg.Float] struct {
 	he, ho, ge, gOdd []T
 	n                int
 	levels           int
+	// avx2, set by New for float32 transforms on CPUs with AVX2, runs
+	// ForwardTo and InverseTo on bit-identical SIMD kernels.
+	avx2 kernels[T]
 }
 
 // New builds a Daubechies-order transform for length-n signals with the
@@ -66,6 +69,9 @@ func New[T linalg.Float](order, n, levels int) (*Transform[T], error) {
 		t.ge = append(t.ge, t.g[taps-2-2*j])
 		t.gOdd = append(t.gOdd, t.g[taps-1-2*j])
 	}
+	if t32, ok := any(t).(*Transform[float32]); ok && useAVX2 {
+		t.avx2 = any(avx2Transform{t32}).(kernels[T])
+	}
 	return t, nil
 }
 
@@ -101,6 +107,10 @@ func (t *Transform[T]) Forward(dst, x []T) { t.ForwardTo(dst, x, make([]T, t.n))
 func (t *Transform[T]) ForwardTo(dst, x, scratch []T) {
 	if len(dst) != t.n || len(x) != t.n || len(scratch) != t.n {
 		panic("wavelet: Forward length mismatch")
+	}
+	if t.avx2 != nil {
+		t.avx2.forwardTo(dst, x, scratch)
+		return
 	}
 	copy(scratch, x)
 	n := t.n
@@ -172,6 +182,10 @@ func (t *Transform[T]) InverseTo(dst, coeffs, scratch []T) {
 	if len(dst) != t.n || len(coeffs) != t.n || len(scratch) != t.n {
 		panic("wavelet: Inverse length mismatch")
 	}
+	if t.avx2 != nil {
+		t.avx2.inverseTo(dst, coeffs, scratch)
+		return
+	}
 	copy(scratch, coeffs)
 	n := t.n >> uint(t.levels)
 	for lev := t.levels - 1; lev >= 0; lev-- {
@@ -195,26 +209,10 @@ func (t *Transform[T]) synthesizeOne(dst, a, d []T) {
 	half := len(a)
 	d = d[:half]
 	kk := len(t.he) // coefficient pairs reaching each output pair
-	// Output pairs m < kk−1 also collect coefficients from the far end
-	// of the block through the periodic wrap: first k = 0…m, then
-	// k = half−(kk−1−m) … half−1. This loop also takes the first
-	// interior pair when the interior count is odd, so the rest splits
-	// into pairs of pairs.
-	m := 0
-	for wrap := kk - 1 + (half-kk+1)%2; m < wrap; m++ {
-		var e, o T
-		for k := 0; k <= m; k++ {
-			s := 2 * (m - k)
-			e += t.h[s]*a[k] + t.g[s]*d[k]
-			o += t.h[s+1]*a[k] + t.g[s+1]*d[k]
-		}
-		for k := half - (kk - 1 - m); k < half; k++ {
-			s := 2 * (m - k + half)
-			e += t.h[s]*a[k] + t.g[s]*d[k]
-			o += t.h[s+1]*a[k] + t.g[s+1]*d[k]
-		}
-		dst[2*m], dst[2*m+1] = e, o
-	}
+	// The wrap loop also takes the first interior pair when the interior
+	// count is odd, so the rest splits into pairs of pairs.
+	m := kk - 1 + (half-kk+1)%2
+	t.synthesizeWrap(dst, a, d, m)
 	he, ho := t.he[:kk], t.ho[:kk]
 	ge, gOdd := t.ge[:kk], t.gOdd[:kk]
 	for ; m < half; m += 2 {
@@ -229,6 +227,30 @@ func (t *Transform[T]) synthesizeOne(dst, a, d []T) {
 		}
 		dst[2*m], dst[2*m+1] = e, o
 		dst[2*m+2], dst[2*m+3] = e1, o1
+	}
+}
+
+// synthesizeWrap computes the output pairs m < end ≤ len(t.he) of
+// synthesizeOne. Pairs m < kk−1 also collect coefficients from the far
+// end of the block through the periodic wrap: first k = 0…m, then
+// k = half−(kk−1−m) … half−1.
+//
+//csecg:hotpath the wrap pairs of every synthesis split
+func (t *Transform[T]) synthesizeWrap(dst, a, d []T, end int) {
+	half, kk := len(a), len(t.he)
+	for m := 0; m < end; m++ {
+		var e, o T
+		for k := 0; k <= m; k++ {
+			s := 2 * (m - k)
+			e += t.h[s]*a[k] + t.g[s]*d[k]
+			o += t.h[s+1]*a[k] + t.g[s+1]*d[k]
+		}
+		for k := half - (kk - 1 - m); k < half; k++ {
+			s := 2 * (m - k + half)
+			e += t.h[s]*a[k] + t.g[s]*d[k]
+			o += t.h[s+1]*a[k] + t.g[s+1]*d[k]
+		}
+		dst[2*m], dst[2*m+1] = e, o
 	}
 }
 
