@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build portable perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build portable perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench perf perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build portable perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke
+check: vet lint vet-baseline-empty stack-budget build portable perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -96,6 +96,14 @@ triage-smoke:
 	rm -f traces-smoke.jsonl
 	$(GO) run ./cmd/csecg-bench -exp chaos -short -spans traces-smoke.jsonl
 	$(GO) run ./cmd/csecg-triage traces-smoke.jsonl
+
+# trace-smoke runs a short transport experiment exporting every decoded
+# window's span tree as a Chrome trace, and fails if the export holds no
+# B/E slice — an empty trace cannot pass.
+trace-smoke:
+	rm -f trace.json metrics.prom
+	$(GO) run ./cmd/csecg-bench -exp transport -seconds 6 -trace trace.json -metrics metrics.prom
+	@grep -q '"ph":"B"' trace.json || { echo "trace-smoke: trace.json holds no span slices"; exit 1; }
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -13,7 +13,6 @@
 //
 //	csecg-bench -exp transport -trace out.json    # Chrome trace of every window
 //	csecg-bench -exp cpu -metrics metrics.prom    # Prometheus text dump
-//	csecg-bench -exp cpu -events events.jsonl     # JSONL event log
 //	csecg-bench -exp all -pprof cpu.pprof         # CPU+mutex+block profiles
 //
 // Performance tracking:
@@ -76,8 +75,7 @@ func run() int {
 		records     = flag.String("records", "", "comma-separated record IDs (overrides the default subset)")
 		format      = flag.String("format", "table", "output format: table or csv")
 		metricsFile = flag.String("metrics", "", "write a Prometheus text metrics dump to this file ('-' for stdout)")
-		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of every window lifecycle to this file")
-		eventsFile  = flag.String("events", "", "write the trace as a JSONL event log to this file")
+		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of every streamed window's span tree to this file")
 		pprofFile   = flag.String("pprof", "", "write Go CPU/mutex/block profiles of the run to this file (+.mutex/.block)")
 		jsonFile    = flag.String("json", "", "run the perf suite and write the machine-readable summary to this file ('-' for stdout)")
 		compareFile = flag.String("compare", "", "run the perf suite and fail on normalized regressions against this baseline summary")
@@ -102,10 +100,8 @@ func run() int {
 	if *metricsFile != "" {
 		opt.Metrics = csecg.NewMetrics()
 	}
-	var tracer *csecg.Tracer
-	if *traceFile != "" || *eventsFile != "" {
-		tracer = csecg.NewTracer(nil)
-		opt.Trace = tracer
+	if *traceFile != "" {
+		opt.Trace = &experiments.SpanSink{}
 	}
 	if *pprofFile != "" {
 		p, err := prof.Start(*pprofFile)
@@ -302,8 +298,9 @@ func run() int {
 					return nil, err
 				}
 				if *spansFile != "-" {
-					fmt.Printf("chaos: wrote %d span trees to %s\n", len(r.Traces), *spansFile)
+					fmt.Printf("chaos: wrote %d span trees to %s\n", len(r.Traces.Records), *spansFile)
 				}
+				reportDropped(r.Traces)
 			}
 			if fails := r.Failures(); len(fails) > 0 {
 				fmt.Println(r.Table().Render())
@@ -357,15 +354,19 @@ func run() int {
 			return csecg.WriteMetrics(w, opt.Metrics)
 		})
 	}
-	if tracer != nil && *traceFile != "" {
+	if opt.Trace != nil {
 		writeFile("trace", *traceFile, func(w *os.File) error {
-			return csecg.WriteChromeTrace(w, tracer)
+			return csecg.WriteChromeTrace(w, opt.Trace.Records)
 		})
-	}
-	if tracer != nil && *eventsFile != "" {
-		writeFile("events", *eventsFile, func(w *os.File) error {
-			return csecg.WriteTraceJSONL(w, tracer)
-		})
+		reportDropped(*opt.Trace)
 	}
 	return exit
+}
+
+// reportDropped warns when a span tracer's retention cap lost trees, so
+// an export is never silently short of windows.
+func reportDropped(s experiments.SpanSink) {
+	if s.Dropped > 0 {
+		fmt.Fprintf(os.Stderr, "csecg-bench: %d span trees dropped at the tracer's retention cap\n", s.Dropped)
+	}
 }

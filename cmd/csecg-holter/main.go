@@ -30,8 +30,7 @@ func main() {
 		cr          = flag.Float64("cr", 50, "CS compression ratio")
 		seed        = flag.Uint("seed", 0x601, "sensing-matrix seed")
 		metricsFile = flag.String("metrics", "", "write a Prometheus text metrics dump to this file ('-' for stdout)")
-		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of the analysis to this file")
-		eventsFile  = flag.String("events", "", "write the trace as a JSONL event log to this file")
+		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of each window's wall-clock encode and decode to this file")
 		pprofFile   = flag.String("pprof", "", "write a Go CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -51,15 +50,6 @@ func main() {
 	if *metricsFile != "" {
 		reg = csecg.NewMetrics()
 	}
-	var tr *csecg.Tracer
-	var pidEnc, pidDec int64
-	if *traceFile != "" || *eventsFile != "" {
-		tr = csecg.NewTracer(nil)
-		s := tr.NewSession("holter record " + *record)
-		pidEnc, pidDec = s.Mote, s.Coordinator
-		tr.ThreadName(pidEnc, 1, "encode")
-		tr.ThreadName(pidDec, 1, "decode")
-	}
 
 	rec, err := csecg.RecordByID(*record)
 	if err != nil {
@@ -68,6 +58,17 @@ func main() {
 	adc, err := rec.Channel256(*seconds, 0)
 	if err != nil {
 		fail(err)
+	}
+	// Each window's trace is a two-leaf tree of its measured encode and
+	// decode, timed from the start of the run.
+	var spans *csecg.SpanTracer
+	t0 := time.Now()
+	if *traceFile != "" {
+		spans = csecg.NewSpanTracer(csecg.SpanTracerConfig{
+			Label:           "holter record " + *record + " (wall clock)",
+			RetainAll:       true,
+			RetainAnomalous: len(adc) / csecg.WindowSize,
+		})
 	}
 	params := csecg.Params{Seed: uint16(*seed), M: csecg.MForCR(*cr, csecg.WindowSize)}
 	enc, err := csecg.NewEncoder(params)
@@ -81,33 +82,30 @@ func main() {
 	var orig, recon []float64
 	for o := 0; o+csecg.WindowSize <= len(adc); o += csecg.WindowSize {
 		win := adc[o : o+csecg.WindowSize]
-		var encEnd, decEnd func(args ...csecg.TraceArg)
 		encStart := time.Now()
-		if tr != nil {
-			encEnd = tr.Begin(pidEnc, 1, "encode", "holter")
-		}
 		pkt, err := enc.EncodeWindow(win)
 		if err != nil {
 			fail(err)
 		}
-		if encEnd != nil {
-			encEnd(csecg.TraceI("seq", int64(pkt.Seq)), csecg.TraceI("bytes", int64(pkt.WireSize())))
-		}
 		decStart := time.Now()
-		if tr != nil {
-			decEnd = tr.Begin(pidDec, 1, "decode", "holter")
-		}
 		out, err := dec.DecodePacket(pkt)
 		if err != nil {
 			fail(err)
 		}
-		if decEnd != nil {
-			decEnd(csecg.TraceI("seq", int64(pkt.Seq)), csecg.TraceI("iterations", int64(out.Iterations)))
+		decEnd := time.Now()
+		encNs, decNs := decStart.Sub(encStart).Nanoseconds(), decEnd.Sub(decStart).Nanoseconds()
+		if spans != nil {
+			wt := spans.Begin(pkt.Seq)
+			at := encStart.Sub(t0).Nanoseconds()
+			wt.Root(at)
+			wt.Leaf("encode", at, encNs)
+			wt.Leaf("decode", at+encNs, decNs)
+			spans.Finish(wt, 0, encNs+decNs)
 		}
 		if reg != nil {
 			reg.Counter("holter_windows_total").Inc()
-			reg.Histogram("holter_encode_wall_ns").Observe(decStart.Sub(encStart).Nanoseconds())
-			reg.Histogram("holter_decode_wall_ns").Observe(time.Since(decStart).Nanoseconds())
+			reg.Histogram("holter_encode_wall_ns").Observe(encNs)
+			reg.Histogram("holter_decode_wall_ns").Observe(decNs)
 			reg.Histogram("holter_iterations").Observe(int64(out.Iterations))
 		}
 		for i := range win {
@@ -182,11 +180,11 @@ func main() {
 	if reg != nil {
 		writeOut(*metricsFile, func(f *os.File) error { return csecg.WriteMetrics(f, reg) })
 	}
-	if tr != nil && *traceFile != "" {
-		writeOut(*traceFile, func(f *os.File) error { return csecg.WriteChromeTrace(f, tr) })
-	}
-	if tr != nil && *eventsFile != "" {
-		writeOut(*eventsFile, func(f *os.File) error { return csecg.WriteTraceJSONL(f, tr) })
+	if spans != nil {
+		writeOut(*traceFile, func(f *os.File) error { return csecg.WriteChromeTrace(f, spans.Records()) })
+		if n := spans.RetainDropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "csecg-holter: %d span trees dropped at the tracer's retention cap\n", n)
+		}
 	}
 }
 

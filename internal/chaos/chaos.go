@@ -270,12 +270,7 @@ func Run(sc Scenario) (*Report, error) {
 
 	spans := sc.Spans
 	if spans != nil {
-		rx.SetTraceSeed(spans.Seed())
-		rx.SetShedHook(func(seq uint32) {
-			if wt := spans.Lookup(seq); wt != nil {
-				spans.FinishDropped(wt, telemetry.FlagShed)
-			}
-		})
+		rx.SetSpans(spans)
 	}
 
 	var rec *blackbox.Recorder
@@ -349,17 +344,7 @@ func Run(sc Scenario) (*Report, error) {
 					if d.Res.Rung != lastRung {
 						wt.MarkRungChange(decodeAt, int(d.Res.Rung))
 					}
-					var flags uint32
-					if d.Bad {
-						flags |= telemetry.FlagBad
-					}
-					if d.Res.Degraded {
-						flags |= telemetry.FlagDegraded
-					}
-					if d.Res.DeadlineExpired {
-						flags |= telemetry.FlagDeadline
-					}
-					wt.Mark(flags)
+					wt.Mark(d.SpanFlags())
 					spans.Finish(wt, int(d.Res.Rung), wt.LeafSumNs())
 				}
 				lastRung = d.Res.Rung

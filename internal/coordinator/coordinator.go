@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"csecg/internal/core"
-	"csecg/internal/solver"
 	"csecg/internal/telemetry"
 )
 
@@ -161,10 +160,8 @@ type RealTimeDecoder struct {
 	// deadline for each decode (EnableSolveDeadline).
 	solveBudgetNs int64
 
-	met       *decoderMetrics
-	clock     telemetry.Clock
-	iterTrace bool
-	curTrace  []solver.IterSample
+	met   *decoderMetrics
+	clock telemetry.Clock
 }
 
 // decoderMetrics caches the telemetry pointers the decode path records
@@ -240,16 +237,6 @@ func (r *RealTimeDecoder) Instrument(reg *telemetry.Registry, clock telemetry.Cl
 	reg.SetHelp("coordinator_degradation_rung", "current ladder rung: 0 nominal, 1 reduced-iter, 2 gpsr, 3 best-effort")
 }
 
-// EnableIterationTrace makes every decode collect the solver's
-// per-iteration telemetry (objective, residual, step) into
-// Result.IterTrace. It costs one extra operator apply per iteration.
-func (r *RealTimeDecoder) EnableIterationTrace() {
-	r.iterTrace = true
-	r.dec.SolverOptions.Trace = func(iter int, s solver.IterSample) {
-		r.curTrace = append(r.curTrace, s)
-	}
-}
-
 // Params returns the resolved pipeline parameters.
 func (r *RealTimeDecoder) Params() core.Params { return r.dec.Params() }
 
@@ -271,9 +258,6 @@ type Result struct {
 	// SolveWallTime is the measured host-side solve duration on the
 	// instrumented clock (0 when the decoder is not instrumented).
 	SolveWallTime time.Duration
-	// IterTrace carries the solver's per-iteration telemetry when
-	// EnableIterationTrace was called.
-	IterTrace []solver.IterSample
 	// Rung is the degradation-ladder rung this window decoded at.
 	Rung Rung
 	// Degraded marks a reduced-quality release: the ladder was off
@@ -284,9 +268,6 @@ type Result struct {
 
 // Decode processes one packet at the ladder's current rung.
 func (r *RealTimeDecoder) Decode(pkt *core.Packet) (*Result, error) {
-	if r.iterTrace {
-		r.curTrace = r.curTrace[:0]
-	}
 	rung := r.lad.rung
 	s := rungSettings[rung]
 	r.dec.Algorithm = s.algo
@@ -331,9 +312,6 @@ func (r *RealTimeDecoder) Decode(pkt *core.Packet) (*Result, error) {
 		Rung:          rung,
 	}
 	out.Degraded = rung != RungNominal || res.DeadlineExpired
-	if r.iterTrace && len(r.curTrace) > 0 {
-		out.IterTrace = append([]solver.IterSample(nil), r.curTrace...)
-	}
 	shifted := r.lad.observe(out.Deadline)
 	if r.met != nil {
 		r.met.decodes.Inc()

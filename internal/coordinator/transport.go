@@ -167,6 +167,22 @@ type Decoded struct {
 	Bad     bool
 }
 
+// SpanFlags returns the anomaly flags the decode itself sets on the
+// window's span tree: quality-bad, degraded release, deadline-cut solve.
+func (d Decoded) SpanFlags() uint32 {
+	var flags uint32
+	if d.Bad {
+		flags |= telemetry.FlagBad
+	}
+	if d.Res.Degraded {
+		flags |= telemetry.FlagDegraded
+	}
+	if d.Res.DeadlineExpired {
+		flags |= telemetry.FlagDeadline
+	}
+	return flags
+}
+
 // gapState tracks one stall episode.
 type gapState struct {
 	openedSlot int
@@ -285,9 +301,9 @@ type Receiver struct {
 	ordinal  int64
 	panicked bool
 	// traceSeed derives per-window causal trace IDs for WindowCapture
-	// (0 → untraced); shedHook, when set, observes admission-queue sheds.
+	// (0 → untraced); spans, when set, closes the trace of a shed window.
 	traceSeed uint64
-	shedHook  func(seq uint32)
+	spans     *telemetry.CausalTracer
 
 	stats TransportStats
 	met   *transportMetrics
@@ -369,11 +385,15 @@ func (r *Receiver) SetRecorder(rec FlightRecorder) { r.rec = rec }
 // disables trace stamping.
 func (r *Receiver) SetTraceSeed(seed uint64) { r.traceSeed = seed }
 
-// SetShedHook installs an observer for admission-queue sheds, called
-// with the shed window's sequence number before the packet is dropped —
-// the span tracer retains the partial trace of a window that will never
-// decode. Install before streaming starts.
-func (r *Receiver) SetShedHook(hook func(seq uint32)) { r.shedHook = hook }
+// SetSpans attaches the session's causal span tracer: its seed stamps
+// every released window's trace ID (SetTraceSeed), and an
+// admission-queue shed closes the dropped window's open trace flagged
+// FlagShed, so the tracer retains the partial tree of a window that
+// will never decode. Attach before streaming starts.
+func (r *Receiver) SetSpans(spans *telemetry.CausalTracer) {
+	r.traceSeed = spans.Seed()
+	r.spans = spans
+}
 
 // ResumeAt positions a fresh receiver mid-stream for bundle replay: the
 // next expected sequence number and the slot-grid origin of a bundle
@@ -599,8 +619,10 @@ func (r *Receiver) admit(pkt *core.Packet) {
 		if drop < 0 {
 			drop = 0
 		}
-		if r.shedHook != nil {
-			r.shedHook(r.queue[drop].Seq)
+		if r.spans != nil {
+			if wt := r.spans.Lookup(r.queue[drop].Seq); wt != nil {
+				r.spans.FinishDropped(wt, telemetry.FlagShed)
+			}
 		}
 		r.queue = append(r.queue[:drop], r.queue[drop+1:]...)
 		r.stats.Shed++

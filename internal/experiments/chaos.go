@@ -28,9 +28,9 @@ type ChaosRow struct {
 type ChaosResult struct {
 	Short bool
 	Rows  []ChaosRow
-	// Traces holds every scenario's retained causal span trees (only
-	// when tracing was requested) — csecg-triage's input.
-	Traces []telemetry.TraceRecord
+	// Traces holds every scenario's causal span trees (only when
+	// tracing was requested) — csecg-triage's input.
+	Traces SpanSink
 }
 
 // Failures lists the scenarios that broke the survival contract.
@@ -72,11 +72,8 @@ func ChaosTraced(short bool, recordDir string, traced bool) (*ChaosResult, error
 		}
 		var spans *telemetry.CausalTracer
 		if traced {
-			spans = telemetry.NewCausalTracer(telemetry.CausalConfig{
-				Label:           "chaos " + sc.Name,
-				RetainAnomalous: 512,
-				RetainAll:       true,
-			})
+			// A drifting mote encodes at most one slip window per slot.
+			spans = retainAllTracer("chaos "+sc.Name, 2*sc.Windows)
 			sc.Spans = spans
 		}
 		rep, err := chaos.Run(sc)
@@ -106,7 +103,7 @@ func ChaosTraced(short bool, recordDir string, traced bool) (*ChaosResult, error
 			}
 		}
 		if spans != nil {
-			res.Traces = append(res.Traces, spans.Records()...)
+			res.Traces.collect(spans)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -115,7 +112,7 @@ func ChaosTraced(short bool, recordDir string, traced bool) (*ChaosResult, error
 
 // WriteTraces writes the run's combined span trees as trace JSONL.
 func (r *ChaosResult) WriteTraces(w io.Writer) error {
-	return telemetry.WriteTraceRecords(w, r.Traces)
+	return telemetry.WriteTraceRecords(w, r.Traces.Records)
 }
 
 // Table renders the matrix.

@@ -9,12 +9,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
 
 	"csecg"
 	"csecg/internal/ecg"
+	"csecg/internal/telemetry"
 )
 
 // Table is a rendered experiment result.
@@ -101,10 +103,54 @@ type Options struct {
 	// Metrics, when non-nil, attaches every streaming session the
 	// experiment runs to the registry (csecg-bench -metrics).
 	Metrics *csecg.Metrics
-	// Trace, when non-nil, records window-lifecycle spans for every
-	// streaming session (csecg-bench -trace/-events); each session gets
-	// its own labeled track group.
-	Trace *csecg.Tracer
+	// Trace, when non-nil, collects the causal span tree of every window
+	// of every streaming session (csecg-bench -trace): each session runs
+	// with a retain-all span tracer labelled after the session.
+	Trace *SpanSink
+}
+
+// SpanSink collects the span trees of traced sessions.
+type SpanSink struct {
+	Records []telemetry.TraceRecord
+	// Dropped counts trees the session tracers lost to their retention
+	// cap.
+	Dropped int64
+}
+
+// retainAllTracer returns a span tracer that retains every tree of a
+// session of at most windows windows.
+func retainAllTracer(label string, windows int) *telemetry.CausalTracer {
+	return telemetry.NewCausalTracer(telemetry.CausalConfig{
+		Label:           label,
+		RetainAnomalous: windows,
+		RetainAll:       true,
+	})
+}
+
+// collect appends a finished session's trees.
+func (s *SpanSink) collect(c *telemetry.CausalTracer) {
+	s.Records = append(s.Records, c.Records()...)
+	s.Dropped += c.RetainDropped()
+}
+
+// stream runs one streaming session on the options' metrics registry
+// and, when tracing, collects its span trees under label.
+func (o Options) stream(cfg csecg.StreamConfig, label string) (*csecg.StreamReport, error) {
+	cfg.Metrics = o.Metrics
+	if o.Trace == nil {
+		return csecg.RunStream(cfg)
+	}
+	n := cfg.Params.N
+	if n == 0 {
+		n = csecg.WindowSize
+	}
+	spans := retainAllTracer(label, int(math.Ceil(cfg.Seconds*csecg.FsMote/float64(n))))
+	cfg.Spans = spans
+	rep, err := csecg.RunStream(cfg)
+	if err == nil {
+		o.Trace.collect(spans)
+	}
+	return rep, err
 }
 
 func (o Options) withDefaults() Options {

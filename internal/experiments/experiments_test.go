@@ -585,3 +585,36 @@ func TestChaosShape(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanSinkCollectsEveryWindow pins the -trace plumbing: a traced
+// session's retain-all tracer is sized to its window count, so every
+// decoded window's tree reaches the sink, and a tracer that is too small
+// reports its losses instead of hiding them.
+func TestSpanSinkCollectsEveryWindow(t *testing.T) {
+	sink := &SpanSink{}
+	cpu, err := CPU(Options{Records: []string{"100"}, SecondsPerRecord: 4, Trace: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.Records) != cpu.Report.Decoded || sink.Dropped != 0 {
+		t.Errorf("sink holds %d trees (%d dropped) for %d decoded windows",
+			len(sink.Records), sink.Dropped, cpu.Report.Decoded)
+	}
+	for _, r := range sink.Records {
+		if r.Session != "cpu" {
+			t.Fatalf("tree of window %d labelled %q, want the session label", r.Seq, r.Session)
+		}
+	}
+
+	small := retainAllTracer("small", 1)
+	for seq := uint32(0); seq < 3; seq++ {
+		w := small.Begin(seq)
+		w.Root(int64(seq))
+		small.Finish(w, 0, 0)
+	}
+	var lossy SpanSink
+	lossy.collect(small)
+	if len(lossy.Records) != 1 || lossy.Dropped != 2 {
+		t.Errorf("undersized tracer: %d trees kept, %d dropped; want 1 and 2", len(lossy.Records), lossy.Dropped)
+	}
+}

@@ -36,15 +36,12 @@ func Encoder(opt Options) (*EncoderResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := csecg.RunStream(csecg.StreamConfig{
-			RecordID:   opt.Records[0],
-			Seconds:    opt.SecondsPerRecord,
-			Params:     p,
-			Mode:       coordinator.NEON,
-			Metrics:    opt.Metrics,
-			Trace:      opt.Trace,
-			TraceLabel: fmt.Sprintf("encoder d=%d", d),
-		})
+		rep, err := opt.stream(csecg.StreamConfig{
+			RecordID: opt.Records[0],
+			Seconds:  opt.SecondsPerRecord,
+			Params:   p,
+			Mode:     coordinator.NEON,
+		}, fmt.Sprintf("encoder d=%d", d))
 		if err != nil {
 			return nil, err
 		}
@@ -165,15 +162,12 @@ type CPUResult struct {
 // CPU runs a full session and extracts the CPU figures.
 func CPU(opt Options) (*CPUResult, error) {
 	opt = opt.withDefaults()
-	rep, err := csecg.RunStream(csecg.StreamConfig{
-		RecordID:   opt.Records[0],
-		Seconds:    opt.SecondsPerRecord * 2,
-		Params:     core.Params{Seed: 0xC0, M: metrics.MForCR(50, core.WindowSize)},
-		Mode:       coordinator.NEON,
-		Metrics:    opt.Metrics,
-		Trace:      opt.Trace,
-		TraceLabel: "cpu",
-	})
+	rep, err := opt.stream(csecg.StreamConfig{
+		RecordID: opt.Records[0],
+		Seconds:  opt.SecondsPerRecord * 2,
+		Params:   core.Params{Seed: 0xC0, M: metrics.MForCR(50, core.WindowSize)},
+		Mode:     coordinator.NEON,
+	}, "cpu")
 	if err != nil {
 		return nil, err
 	}
@@ -220,15 +214,12 @@ func Lifetime(opt Options) (*LifetimeResult, error) {
 	opt = opt.withDefaults()
 	res := &LifetimeResult{}
 	for _, cr := range []float64{30, 40, 50, 60, 70} {
-		rep, err := csecg.RunStream(csecg.StreamConfig{
-			RecordID:   opt.Records[0],
-			Seconds:    opt.SecondsPerRecord * 2,
-			Params:     core.Params{Seed: 0x1F, M: metrics.MForCR(cr, core.WindowSize)},
-			Mode:       coordinator.NEON,
-			Metrics:    opt.Metrics,
-			Trace:      opt.Trace,
-			TraceLabel: fmt.Sprintf("lifetime CR=%.0f", cr),
-		})
+		rep, err := opt.stream(csecg.StreamConfig{
+			RecordID: opt.Records[0],
+			Seconds:  opt.SecondsPerRecord * 2,
+			Params:   core.Params{Seed: 0x1F, M: metrics.MForCR(cr, core.WindowSize)},
+			Mode:     coordinator.NEON,
+		}, fmt.Sprintf("lifetime CR=%.0f", cr))
 		if err != nil {
 			return nil, err
 		}

@@ -77,10 +77,7 @@ func Transport(opt Options) (*TransportResult, error) {
 			if nack {
 				mode = "nack"
 			}
-			cfg.Metrics = opt.Metrics
-			cfg.Trace = opt.Trace
-			cfg.TraceLabel = fmt.Sprintf("transport %s, %.1f%% loss", mode, b.StationaryLoss()*100)
-			rep, err := csecg.RunStream(cfg)
+			rep, err := opt.stream(cfg, fmt.Sprintf("transport %s, %.1f%% loss", mode, b.StationaryLoss()*100))
 			if err != nil {
 				return nil, err
 			}

@@ -76,11 +76,6 @@ type Options[T linalg.Float] struct {
 	// objective value F(α_k). Computing F costs one extra A·α per
 	// iteration, so leave nil in production.
 	Monitor func(iter int, objective T)
-	// Trace, when non-nil, receives the full per-iteration telemetry
-	// sample: objective, residual norm and step norm. Like Monitor it
-	// costs one extra operator apply per iteration (for the objective),
-	// so enable it only in instrumented runs.
-	Trace func(iter int, s IterSample)
 	// DeadlineNs, when nonzero, is an absolute soft deadline in the
 	// nanoseconds of the Now clock: once Now() reaches it the solver
 	// stops at the current iterate and flags the result
@@ -96,18 +91,6 @@ type Options[T linalg.Float] struct {
 	// DeadlineEvery is the iteration stride between deadline checks.
 	// Defaults to DefaultDeadlineEvery if zero.
 	DeadlineEvery int
-}
-
-// IterSample is one iteration's solver telemetry, as recorded by the
-// Options.Trace hook and surfaced in window traces.
-type IterSample struct {
-	// Objective is F(α_k) = ‖Aα_k − y‖₂² + λ‖α_k‖₁.
-	Objective float64
-	// Residual is ‖Ay_k − y‖₂ evaluated at the gradient point of the
-	// iteration (the momentum point for FISTA, α_{k−1} for ISTA).
-	Residual float64
-	// Step is ‖α_k − α_{k−1}‖₂, the quantity the stopping rule tests.
-	Step float64
 }
 
 // Result reports a solver run.
@@ -165,12 +148,6 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 	thresh := opt.Lambda / opt.Lipschitz
 	for k := 1; k <= opt.MaxIter; k++ {
 		st.halfGradient(grad, yk)
-		var residual T
-		if opt.Trace != nil {
-			// st.r still holds Ay_k − y from the gradient evaluation;
-			// read it before the objective computation reuses the buffer.
-			residual = linalg.Norm2(st.r)
-		}
 		// α_k = prox_{λ/L}(y_k − (1/L)∇f(y_k)), Eq. (4), formed in α_k's
 		// buffer so that y_k survives for the restart test.
 		p := proxStep(alpha, alphaPrev, yk, grad, step, thresh, st.vec)
@@ -192,13 +169,6 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 		res.Iterations = k
 		if opt.Monitor != nil {
 			opt.Monitor(k, st.objective(alpha, opt.Lambda))
-		}
-		if opt.Trace != nil {
-			opt.Trace(k, IterSample{
-				Objective: float64(st.objective(alpha, opt.Lambda)),
-				Residual:  float64(residual),
-				Step:      float64(T(math.Sqrt(p.step2))),
-			})
 		}
 		// The relative-step stopping rule ‖α_k − α_{k−1}‖₂ / max(1, ‖α_k‖₂).
 		if opt.Tol >= 0 && math.Sqrt(p.step2)/max(1, math.Sqrt(p.norm2)) < opt.Tol {
@@ -279,10 +249,6 @@ func ISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], err
 	for k := 1; k <= opt.MaxIter; k++ {
 		copy(prev, alpha)
 		st.gradient(grad, alpha)
-		var residual T
-		if opt.Trace != nil {
-			residual = linalg.Norm2(st.r)
-		}
 		step := 1 / opt.Lipschitz
 		if st.vec {
 			linalg.Axpy4(-step, grad, alpha)
@@ -294,13 +260,6 @@ func ISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], err
 		res.Iterations = k
 		if opt.Monitor != nil {
 			opt.Monitor(k, st.objective(alpha, opt.Lambda))
-		}
-		if opt.Trace != nil {
-			opt.Trace(k, IterSample{
-				Objective: float64(st.objective(alpha, opt.Lambda)),
-				Residual:  float64(residual),
-				Step:      float64(stepNorm(alpha, prev)),
-			})
 		}
 		if st.converged(alpha, prev, opt.Tol) {
 			res.Converged = true
@@ -378,17 +337,6 @@ func (st *state[T]) objective(x []T, lambda T) T {
 	linalg.Sub(st.r, st.r, st.y)
 	n2 := linalg.Norm2(st.r)
 	return n2*n2 + lambda*linalg.Norm1(x)
-}
-
-// stepNorm computes ‖cur − prev‖₂ without scratch allocation (it runs
-// once per traced iteration).
-func stepNorm[T linalg.Float](cur, prev []T) T {
-	var s float64
-	for i := range cur {
-		d := float64(cur[i] - prev[i])
-		s += d * d
-	}
-	return T(math.Sqrt(s))
 }
 
 func (st *state[T]) converged(cur, prev []T, tol float64) bool {

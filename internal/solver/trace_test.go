@@ -5,17 +5,22 @@ import (
 	"testing"
 )
 
-func finiteSamples(t *testing.T, samples []IterSample) {
+// monitorObjectives returns an Options.Monitor hook that appends every
+// objective to *objs, failing the test on an out-of-order iteration.
+func monitorObjectives(t *testing.T, objs *[]float64) func(iter int, objective float64) {
+	return func(iter int, objective float64) {
+		if iter != len(*objs)+1 {
+			t.Fatalf("monitor iteration %d out of order (have %d samples)", iter, len(*objs))
+		}
+		*objs = append(*objs, objective)
+	}
+}
+
+func finiteObjectives(t *testing.T, objs []float64) {
 	t.Helper()
-	for i, s := range samples {
-		if math.IsNaN(s.Objective) || math.IsInf(s.Objective, 0) {
-			t.Fatalf("iteration %d: objective %v not finite", i, s.Objective)
-		}
-		if s.Residual < 0 || math.IsNaN(s.Residual) || math.IsInf(s.Residual, 0) {
-			t.Fatalf("iteration %d: residual %v invalid", i, s.Residual)
-		}
-		if s.Step < 0 || math.IsNaN(s.Step) {
-			t.Fatalf("iteration %d: step %v invalid", i, s.Step)
+	for i, f := range objs {
+		if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+			t.Fatalf("iteration %d: objective %v not finite and non-negative", i+1, f)
 		}
 	}
 }
@@ -29,36 +34,30 @@ func TestFISTATraceObservesEveryIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var samples []IterSample
-	opts.Trace = func(iter int, s IterSample) {
-		if iter != len(samples)+1 {
-			t.Fatalf("trace iteration %d out of order (have %d samples)", iter, len(samples))
-		}
-		samples = append(samples, s)
-	}
+	var objs []float64
+	opts.Monitor = monitorObjectives(t, &objs)
 	traced, err := FISTA(op, y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(samples) != traced.Iterations {
-		t.Errorf("trace fired %d times, solver ran %d iterations", len(samples), traced.Iterations)
+	if len(objs) != traced.Iterations {
+		t.Errorf("monitor fired %d times, solver ran %d iterations", len(objs), traced.Iterations)
 	}
-	finiteSamples(t, samples)
-	// The residual must end far below where it starts on a recoverable
+	finiteObjectives(t, objs)
+	// The objective must end far below where it starts on a recoverable
 	// problem.
-	first, last := samples[0].Residual, samples[len(samples)-1].Residual
-	if last > first/10 {
-		t.Errorf("residual barely moved: %v → %v", first, last)
+	if first, last := objs[0], objs[len(objs)-1]; last > first/10 {
+		t.Errorf("objective barely moved: %v → %v", first, last)
 	}
-	// Tracing is observation only — the iterate sequence must be
+	// Monitoring is observation only — the iterate sequence must be
 	// bit-identical with and without it.
 	if traced.Iterations != base.Iterations {
-		t.Errorf("trace changed iteration count: %d vs %d", traced.Iterations, base.Iterations)
+		t.Errorf("monitor changed iteration count: %d vs %d", traced.Iterations, base.Iterations)
 	}
 	for i := range base.X {
 		if traced.X[i] != base.X[i] {
-			t.Fatalf("trace perturbed the solution at coefficient %d: %v vs %v",
+			t.Fatalf("monitor perturbed the solution at coefficient %d: %v vs %v",
 				i, traced.X[i], base.X[i])
 		}
 	}
@@ -66,16 +65,16 @@ func TestFISTATraceObservesEveryIteration(t *testing.T) {
 
 func TestISTATraceObservesEveryIteration(t *testing.T) {
 	op, y, _ := sparseProblem(96, 192, 6, 4)
-	var samples []IterSample
+	var objs []float64
 	res, err := ISTA(op, y, Options[float64]{
 		MaxIter: 200, Tol: 1e-9, Lambda: 1e-3,
-		Trace: func(iter int, s IterSample) { samples = append(samples, s) },
+		Monitor: monitorObjectives(t, &objs),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != res.Iterations {
-		t.Errorf("trace fired %d times, solver ran %d iterations", len(samples), res.Iterations)
+	if len(objs) != res.Iterations {
+		t.Errorf("monitor fired %d times, solver ran %d iterations", len(objs), res.Iterations)
 	}
-	finiteSamples(t, samples)
+	finiteObjectives(t, objs)
 }

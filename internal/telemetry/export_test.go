@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,48 +13,51 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fixtureTrace records a miniature window lifecycle on a manual clock —
-// every event kind the exporters must render, at fixed ticks.
-func fixtureTrace() *Tracer {
-	clk := NewManualClock(0)
-	tr := NewTracer(clk)
-	s := tr.NewSession("record 100")
-	tr.ThreadName(s.Mote, 1, "acquire")
-	tr.ThreadName(s.Coordinator, 3, "decode")
-	tr.Span(s.Mote, 1, StageSample, CatWindow, 0, 2_000_000_000, I("seq", 0))
-	tr.Span(s.Mote, 2, StageHuffman, CatWindow, 2_000_000_000, 517_250, I("bytes", 203))
-	tr.Span(s.Link, 1, StageTX, CatWindow, 2_000_517_250, 19_288_888, I("bytes", 217))
-	tr.Instant(s.Link, 1, EventLoss, CatWindow, 2_010_000_000, I("seq", 1))
-	tr.Counter(s.Coordinator, "fista residual", 2_100_000_000, F("value", 0.125))
-	clk.Set(2_500_000_000)
-	end := tr.Begin(s.Coordinator, 3, StageFISTA, CatWindow)
-	clk.Advance(343_000_000)
-	end(I("iterations", 211), S("mode", "neon"))
-	// Nested B/E pairs (continuation sub-stages inside the solve) and a
-	// flow arrow stitching the window across process boundaries.
-	tr.BeginSpan(s.Coordinator, 3, SolverStageFISTA2, CatWindow, 2_500_000_000, I("seq", 0))
-	tr.BeginSpan(s.Coordinator, 3, "stage/0", CatWindow, 2_500_000_000)
-	tr.EndSpan(s.Coordinator, 3, "stage/0", CatWindow, 2_651_500_000)
-	tr.BeginSpan(s.Coordinator, 3, "stage/1", CatWindow, 2_651_500_000)
-	tr.EndSpan(s.Coordinator, 3, "stage/1", CatWindow, 2_843_000_000)
-	tr.EndSpan(s.Coordinator, 3, SolverStageFISTA2, CatWindow, 2_843_000_000)
-	tr.FlowStart(s.Link, 1, FlowWindow, CatWindow, 2_000_517_250, 0x1234abcd)
-	tr.FlowStep(s.Coordinator, 1, FlowWindow, CatWindow, 2_019_806_138, 0x1234abcd)
-	tr.FlowEnd(s.Coordinator, 3, FlowWindow, CatWindow, 2_500_000_000, 0x1234abcd)
-	return tr
+// fixtureRecords builds the span trees the exporters must render: a
+// retransmitted, degraded window with continuation sub-stages and a
+// rung change, a clean window with sub-microsecond leaf durations, and
+// a shed window of a second session whose root carries no latency.
+func fixtureRecords() []TraceRecord {
+	c := NewCausalTracer(CausalConfig{Label: "record 100", RetainAll: true})
+	w := buildRetransmittedDegradedTrace(c)
+	c.Finish(w, 1, w.LeafSumNs())
+
+	w = c.Begin(2)
+	w.Root(6_000_000_000)
+	w.Leaf(StageCSSample, 6_000_000_000, 517_250)
+	w.Leaf(StageTX, 6_000_517_250, 19_288_888)
+	w.Leaf(StageReassemble, 6_019_806_138, 0)
+	w.SolverLeaf(SolverStageFISTA1, 6_019_806_138, 343_000_000, 0)
+	w.Leaf(StageReconstruct, 6_362_806_138, 1_000_001)
+	c.Finish(w, 0, w.LeafSumNs())
+	recs := c.Records()
+
+	shed := NewCausalTracer(CausalConfig{Label: "chaos burst-loss"})
+	w = shed.Begin(7)
+	w.Root(16_000_000_000)
+	w.Leaf(StageCSSample, 16_000_000_000, 2_000_000)
+	w.Leaf(StageTX, 16_002_000_000, 20_000_000)
+	shed.FinishDropped(w, FlagShed)
+	return append(recs, shed.Records()...)
+}
+
+func chromeFixture(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, fixtureRecords()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 func TestWriteChromeTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fixtureTrace().Events()); err != nil {
-		t.Fatal(err)
-	}
+	got := []byte(chromeFixture(t))
 	golden := filepath.Join("testdata", "chrome_trace.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,85 +65,137 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("Chrome trace output drifted from golden file.\ngot:  %s\nwant: %s",
-			buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("Chrome trace output drifted from golden file.\ngot:  %s\nwant: %s", got, want)
 	}
 }
 
 func TestWriteChromeTraceShape(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fixtureTrace().Events()); err != nil {
-		t.Fatal(err)
+	out := chromeFixture(t)
+	if !json.Valid([]byte(out)) {
+		t.Fatalf("Chrome trace is not valid JSON:\n%s", out)
 	}
-	out := buf.String()
 	// Nanosecond ticks must render as microseconds with the remainder
-	// kept: 517250 ns → 517.250 µs.
+	// kept: 6 000 517 250 ns → 6000517.250 µs.
 	for _, frag := range []string{
 		`"displayTimeUnit":"ms"`,
-		`"dur":517.250`,
-		`"ph":"X"`, `"ph":"i"`, `"ph":"C"`, `"ph":"M"`,
+		`"ts":6000517.250`,
+		`"ph":"B"`, `"ph":"E"`, `"ph":"i"`, `"ph":"M"`,
 		`"s":"t"`,
-		`"name":"record 100 — mote"`,
-		`"args":{"iterations":211,"mode":"neon"}`,
+		`"args":{"name":"record 100"}`,
+		`"args":{"name":"chaos burst-loss"}`,
+		`"args":{"name":"window 2"}`,
+		`"flags":"degraded,retransmit,rung-change"`,
+		`"attempt":2`,
+		`"flags":"shed"`,
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("trace output missing %s", frag)
 		}
 	}
-	// Spans carry dur; instants must not.
-	if strings.Contains(out, `"ph":"i","ts":2010000.000,"dur"`) {
-		t.Error("instant event must not carry a duration")
+	// Slices are B/E pairs and instants are points: nothing carries a
+	// duration.
+	if strings.Contains(out, `"dur"`) {
+		t.Error("B/E slices and instants must not carry a duration")
+	}
+	// The shed window's root closes at its last leaf, not at its zero
+	// latency.
+	if !strings.Contains(out, `{"name":"window","ph":"E","ts":16022000.000`) {
+		t.Error("shed window root must close at its last transport leaf")
 	}
 }
 
 func TestWriteChromeTraceNestedAndFlow(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fixtureTrace().Events()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, frag := range []string{
-		`"ph":"B"`, `"ph":"E"`,
-		`"ph":"s"`, `"ph":"t"`, `"ph":"f"`,
-		`"id":"1234abcd"`,
-		`"bp":"e"`,
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("trace output missing %s", frag)
+	var doc struct {
+		TraceEvents []struct {
+			Name     string
+			Ph       string
+			Ts       float64
+			Pid, Tid int64
+			Args     map[string]any
 		}
 	}
-	// B/E events must not carry a duration, and every B must have a
-	// matching E so the nesting closes.
-	if strings.Contains(out, `"ph":"B","ts":2500000.000,"dur"`) {
-		t.Error("begin event must not carry a duration")
+	if err := json.Unmarshal([]byte(chromeFixture(t)), &doc); err != nil {
+		t.Fatal(err)
 	}
-	if b, e := strings.Count(out, `"ph":"B"`), strings.Count(out, `"ph":"E"`); b != e {
-		t.Errorf("unbalanced nesting: %d B events vs %d E events", b, e)
+	recs := fixtureRecords()
+	type track struct{ pid, tid int64 }
+	trackOf := map[string]track{} // trace ID → its one track
+	open := map[track][]string{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "M" {
+			continue
+		}
+		k := track{e.Pid, e.Tid}
+		if e.Ph == "E" {
+			stack := open[k]
+			if len(stack) == 0 || stack[len(stack)-1] != e.Name {
+				t.Fatalf("E %q on %v closes no matching B (open %v)", e.Name, k, stack)
+			}
+			open[k] = stack[:len(stack)-1]
+			continue
+		}
+		// Every slice and instant carries its window's trace ID, and a
+		// window's events never leave its track — the job flow arrows
+		// used to do across the mote, link and coordinator lanes.
+		id, _ := e.Args["trace_id"].(string)
+		if id == "" {
+			t.Fatalf("%s %q at %v µs carries no trace ID", e.Ph, e.Name, e.Ts)
+		}
+		if prev, ok := trackOf[id]; ok && prev != k {
+			t.Errorf("trace %s spans tracks %v and %v", id, prev, k)
+		}
+		trackOf[id] = k
+		if e.Ph == "B" {
+			open[k] = append(open[k], e.Name)
+		}
 	}
-	// The flow arrow's end binds to its enclosing slice.
-	if !strings.Contains(out, `"ph":"f","ts":2500000.000,"id":"1234abcd","bp":"e"`) {
-		t.Error("flow end must bind to the enclosing slice with bp:e")
+	for k, stack := range open {
+		if len(stack) != 0 {
+			t.Errorf("track %v leaves %v open", k, stack)
+		}
+	}
+	if len(trackOf) != len(recs) {
+		t.Errorf("%d traced tracks for %d windows", len(trackOf), len(recs))
+	}
+	tracks := map[track]bool{}
+	for _, k := range trackOf {
+		tracks[k] = true
+	}
+	if len(tracks) != len(recs) {
+		t.Errorf("%d tracks for %d windows, want one per window", len(tracks), len(recs))
+	}
+	// Continuation sub-stages nest inside the solver slice: B fista/2,
+	// B stage/0, E stage/0, B stage/1, E stage/1, E fista/2.
+	var seq []string
+	for _, e := range doc.TraceEvents {
+		if strings.HasPrefix(e.Name, "stage/") || e.Name == SolverStageFISTA2 {
+			seq = append(seq, e.Ph+" "+e.Name)
+		}
+	}
+	want := []string{"B fista/2", "B stage/0", "E stage/0", "B stage/1", "E stage/1", "E fista/2"}
+	if !reflect.DeepEqual(seq, want) {
+		t.Errorf("solver nesting %v, want %v", seq, want)
 	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	events := fixtureTrace().Events()
+	recs := fixtureRecords()
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, events); err != nil {
+	if err := WriteTraceRecords(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := ReadTraceRecords(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, events) {
-		t.Errorf("JSONL round trip changed events:\ngot  %+v\nwant %+v", got, events)
+	if !reflect.DeepEqual(got, recs) {
+		t.Errorf("JSONL round trip changed records:\ngot  %+v\nwant %+v", got, recs)
 	}
 }
 
 func TestReadJSONLBadLine(t *testing.T) {
-	_, err := ReadJSONL(strings.NewReader("{\"name\":\"ok\",\"ph\":88,\"ts\":0,\"pid\":1,\"tid\":1}\nnot json\n"))
+	_, err := ReadTraceRecords(strings.NewReader("{\"trace_id\":\"01\",\"seq\":0,\"spans\":[]}\nnot json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("want line-numbered parse error, got %v", err)
 	}

@@ -99,11 +99,6 @@ func SpanStages() []string {
 // served with exemplar links (metric → trace ID → bundle).
 const StageSecondsMetric = "csecg_window_stage_seconds"
 
-// FlowWindow names the Chrome-trace flow arrow that stitches one
-// window's causal chain across the mote, link and coordinator tracks;
-// the flow's id is the window's trace ID.
-const FlowWindow = "window-flow"
-
 // Anomaly flags of a window trace; any set flag makes the full span
 // tree eligible for tail-sampling retention.
 const (

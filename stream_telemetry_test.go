@@ -1,32 +1,42 @@
 package csecg
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
 	"csecg/internal/telemetry"
 )
 
-// streamTrace runs a short clean session with tracing attached and
-// returns the report plus the recorded events.
-func streamTrace(t *testing.T, cfg StreamConfig) (*StreamReport, []TraceEvent) {
+// streamSpans runs a short clean session with a retain-all span tracer
+// sized to the session and returns the report plus every window's span
+// tree.
+func streamSpans(t *testing.T, cfg StreamConfig) (*StreamReport, []SpanTraceRecord) {
 	t.Helper()
-	tr := NewTracer(NewManualClock(0))
-	cfg.Trace = tr
+	spans := NewSpanTracer(SpanTracerConfig{
+		Label:           "record " + cfg.RecordID,
+		RetainAll:       true,
+		RetainAnomalous: int(cfg.Seconds * FsMote / WindowSize),
+	})
+	cfg.Spans = spans
 	cfg.Metrics = NewMetrics()
 	cfg.Clock = NewManualClock(0)
 	rep, err := RunStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, tr.Events()
+	if n := spans.RetainDropped(); n != 0 {
+		t.Fatalf("retain-all tracer sized to the session dropped %d trees", n)
+	}
+	return rep, spans.Records()
 }
 
 // TestStreamTraceCoversEveryStage is the PR's acceptance property: every
-// decoded window must appear in the trace with all nine lifecycle
-// stages.
+// decoded window must appear in the span trees with every encode,
+// transport and decode leaf.
 func TestStreamTraceCoversEveryStage(t *testing.T) {
-	rep, events := streamTrace(t, StreamConfig{
+	rep, recs := streamSpans(t, StreamConfig{
 		RecordID: "100",
 		Seconds:  12,
 		Params:   Params{Seed: 0x0B5, M: MForCR(50, WindowSize)},
@@ -35,39 +45,35 @@ func TestStreamTraceCoversEveryStage(t *testing.T) {
 	if rep.Decoded == 0 {
 		t.Fatal("clean session decoded nothing")
 	}
-	// stage name → set of window seqs that have a span for it.
-	seen := map[string]map[int64]bool{}
-	fistaSpans := 0
-	for _, e := range events {
-		if e.Phase != telemetry.PhaseSpan || e.Cat != telemetry.CatWindow {
-			continue
+	if len(recs) != rep.Decoded {
+		t.Fatalf("%d span trees for %d decoded windows", len(recs), rep.Decoded)
+	}
+	solverStages := map[string]bool{
+		telemetry.SolverStageFISTA1: true, telemetry.SolverStageFISTA2: true,
+		telemetry.SolverStageGPSR2: true, telemetry.SolverStageGPSR4: true,
+	}
+	for i, r := range recs {
+		if r.Seq != uint32(i) {
+			t.Fatalf("tree %d is window %d, want every window in sequence", i, r.Seq)
 		}
-		var seq int64 = -1
-		for _, a := range e.Args {
-			if a.Key == "seq" {
-				seq = a.Int
+		leaves := map[string]bool{}
+		for _, s := range r.Spans {
+			if s.Parent != 0 {
+				continue
+			}
+			leaves[s.Stage] = true
+			if solverStages[s.Stage] {
+				leaves["solver"] = true
 			}
 		}
-		if seq < 0 {
-			continue
-		}
-		if seen[e.Name] == nil {
-			seen[e.Name] = map[int64]bool{}
-		}
-		seen[e.Name][seq] = true
-		if e.Name == telemetry.StageFISTA {
-			fistaSpans++
-		}
-	}
-	for _, stage := range PipelineStages() {
-		for seq := int64(0); seq < int64(rep.Decoded); seq++ {
-			if !seen[stage][seq] {
-				t.Errorf("window %d has no %q span", seq, stage)
+		for _, stage := range []string{
+			telemetry.StageCSSample, telemetry.StageDiff, telemetry.StageHuffman,
+			telemetry.StageTX, telemetry.StageReassemble, "solver", telemetry.StageReconstruct,
+		} {
+			if !leaves[stage] {
+				t.Errorf("window %d has no %q leaf", r.Seq, stage)
 			}
 		}
-	}
-	if fistaSpans != rep.Decoded {
-		t.Errorf("%d fista spans for %d decoded windows", fistaSpans, rep.Decoded)
 	}
 	// Report summaries must be populated from the same session.
 	for _, stage := range PipelineStages() {
@@ -80,31 +86,85 @@ func TestStreamTraceCoversEveryStage(t *testing.T) {
 	}
 }
 
-// TestStreamTraceSpansDisjointPerTrack pins the modeled-timeline
-// invariant: spans sharing one (pid, tid) track never overlap, so the
-// trace renders as a clean lane per pipeline resource.
+// TestStreamTraceSpansDisjointPerTrack pins the Chrome export of a
+// session's span trees: one track per window, every B closed by its E,
+// children inside their parent, and no two sibling slices on a track
+// overlapping.
 func TestStreamTraceSpansDisjointPerTrack(t *testing.T) {
-	_, events := streamTrace(t, StreamConfig{
+	_, recs := streamSpans(t, StreamConfig{
 		RecordID: "100",
 		Seconds:  10,
 		Params:   Params{Seed: 0x0B5, M: MForCR(50, WindowSize)},
 		Mode:     ModeNEON,
 	})
-	type key struct{ pid, tid int64 }
-	lastEnd := map[key]int64{}
-	for _, e := range events {
-		if e.Phase != telemetry.PhaseSpan {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name     string
+			Ph       string
+			Ts       float64
+			Pid, Tid int64
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("Chrome trace does not parse: %v", err)
+	}
+	type open struct {
+		name string
+		ts   float64
+	}
+	type track struct {
+		stack      []open
+		siblingEnd []float64 // end of the last closed slice per depth
+	}
+	tracks := map[[2]int64]*track{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "B" && e.Ph != "E" {
 			continue
 		}
-		k := key{e.PID, e.TID}
-		if e.TS < lastEnd[k] {
-			t.Fatalf("span %q at %d ns overlaps previous span on pid %d tid %d (ends %d)",
-				e.Name, e.TS, e.PID, e.TID, lastEnd[k])
+		k := [2]int64{e.Pid, e.Tid}
+		tr := tracks[k]
+		if tr == nil {
+			tr = &track{}
+			tracks[k] = tr
 		}
-		if e.Dur < 0 {
-			t.Fatalf("span %q has negative duration %d", e.Name, e.Dur)
+		d := len(tr.stack)
+		if e.Ph == "B" {
+			if d > 0 && e.Ts < tr.stack[d-1].ts {
+				t.Fatalf("slice %q at %v µs starts before its parent %q", e.Name, e.Ts, tr.stack[d-1].name)
+			}
+			if d < len(tr.siblingEnd) && e.Ts < tr.siblingEnd[d] {
+				t.Fatalf("slice %q at %v µs overlaps its previous sibling on pid %d tid %d (ends %v)",
+					e.Name, e.Ts, e.Pid, e.Tid, tr.siblingEnd[d])
+			}
+			tr.stack = append(tr.stack, open{e.Name, e.Ts})
+			if d+1 < len(tr.siblingEnd) {
+				tr.siblingEnd = tr.siblingEnd[:d+1]
+			}
+			continue
 		}
-		lastEnd[k] = e.TS + e.Dur
+		if d == 0 || tr.stack[d-1].name != e.Name {
+			t.Fatalf("E %q on pid %d tid %d closes no matching B", e.Name, e.Pid, e.Tid)
+		}
+		if e.Ts < tr.stack[d-1].ts {
+			t.Fatalf("slice %q ends at %v µs before it starts", e.Name, e.Ts)
+		}
+		tr.stack = tr.stack[:d-1]
+		for len(tr.siblingEnd) <= d-1 {
+			tr.siblingEnd = append(tr.siblingEnd, 0)
+		}
+		tr.siblingEnd[d-1] = e.Ts
+	}
+	if len(tracks) != len(recs) {
+		t.Errorf("%d slice tracks for %d windows, want one per window", len(tracks), len(recs))
+	}
+	for k, tr := range tracks {
+		if len(tr.stack) != 0 {
+			t.Errorf("pid %d tid %d leaves %d slices open", k[0], k[1], len(tr.stack))
+		}
 	}
 }
 
