@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build portable perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build portable perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke monitor-smoke bench perf perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build portable perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
+check: vet lint vet-baseline-empty stack-budget build portable perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke monitor-smoke
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -104,6 +104,27 @@ trace-smoke:
 	rm -f trace.json metrics.prom
 	$(GO) run ./cmd/csecg-bench -exp transport -seconds 6 -trace trace.json -metrics metrics.prom
 	@grep -q '"ph":"B"' trace.json || { echo "trace-smoke: trace.json holds no span slices"; exit 1; }
+
+# monitor-smoke serves two burst-lossy NACK sessions through the
+# monitor plane, curls every endpoint once both have finished, and fails
+# if /metrics repeats a # TYPE line: the text format allows one per
+# name, so a multi-session scrape must group each family. The server is
+# killed on exit, pass or fail.
+monitor-smoke:
+	rm -f slo.jsonl sessions.json metrics-scrape.prom
+	$(GO) build -o csecg-monitor-smoke ./cmd/csecg-monitor
+	./csecg-monitor-smoke -listen 127.0.0.1:9102 -records 100,106 -seconds 8 -burst 0.05 -nack -slo-events slo.jsonl & \
+	MON=$$!; trap 'kill $$MON 2>/dev/null || true' EXIT; \
+	for i in $$(seq 1 120); do curl -sf http://127.0.0.1:9102/healthz >/dev/null 2>&1 && break; sleep 0.5; done; \
+	for i in $$(seq 1 120); do [ "$$(curl -sf http://127.0.0.1:9102/sessions | grep -c '"finished": true')" = 2 ] && break; sleep 0.5; done; \
+	curl -sf http://127.0.0.1:9102/healthz && \
+	curl -s  http://127.0.0.1:9102/readyz && \
+	curl -sf http://127.0.0.1:9102/sessions | tee sessions.json && \
+	{ [ "$$(grep -c '"finished": true' sessions.json)" = 2 ] || { echo "sessions never finished"; exit 1; }; } && \
+	curl -sf http://127.0.0.1:9102/metrics > metrics-scrape.prom && \
+	{ grep -q 'quality_windows_total{session=' metrics-scrape.prom || { echo "missing session-labeled metrics"; exit 1; }; } && \
+	dups=$$(grep '^# TYPE' metrics-scrape.prom | sort | uniq -d) && \
+	{ [ -z "$$dups" ] || { echo "/metrics repeats # TYPE lines:"; echo "$$dups"; exit 1; }; }
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -19,10 +19,13 @@ import (
 //     unit-suffixed: counters end in _total; gauges and histograms end
 //     in a recognized unit (_ns, _bytes, _cycles, …), optionally
 //     followed by a _per_<word> denominator.
-//  2. Prometheus label keys are compile-time-constant snake_case.
+//  2. Prometheus label keys are compile-time-constant snake_case,
+//     checked on every Label literal — at the exporter call or wherever
+//     a label set is built ahead of the scrape.
 //  3. A registry constructed locally whose metrics are registered but
-//     never handed to an exporter (WritePrometheus*, or a function that
-//     reaches one through the call graph) records into the void.
+//     never handed to an exporter (WritePrometheus* or
+//     AppendPrometheus*, or a function that reaches one through the
+//     call graph) records into the void.
 //
 // Registry detection is structural — any named type with Counter,
 // Gauge and Histogram methods taking a name string — so the contract
@@ -192,15 +195,21 @@ func checkMetricName(info *types.Info, kind string, nameArg ast.Expr) string {
 		strings.ToLower(kind), strings.Join(frags, "…"), strings.Join(metricUnits, " "))
 }
 
+// exporterName reports whether a function of this name puts a registry
+// on the wire.
+func exporterName(name string) bool {
+	return strings.HasPrefix(name, "WritePrometheus") || strings.HasPrefix(name, "AppendPrometheus")
+}
+
 // exportsRegistry reports (memoized) whether calling n can put a
-// registry on the wire: the function's name starts with
-// WritePrometheus, or a callee's transitively does.
+// registry on the wire: the function has an exporter name, or a
+// callee's transitively does.
 func exportsRegistry(n *FuncNode, memo map[*FuncNode]bool) bool {
 	if v, ok := memo[n]; ok {
 		return v
 	}
 	memo[n] = false // cycle guard
-	v := strings.HasPrefix(n.Fn.Name(), "WritePrometheus")
+	v := exporterName(n.Fn.Name())
 	if !v {
 		for _, e := range n.Out {
 			if exportsRegistry(e.Callee, memo) {
@@ -220,6 +229,10 @@ func runMetricLint(p *ModulePass) {
 		dirs := p.Dirs(pkg)
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					checkLabelLit(p, info, dirs, lit)
+					return true
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -232,7 +245,6 @@ func runMetricLint(p *ModulePass) {
 						}
 					}
 				}
-				checkLabelArgs(p, info, dirs, call)
 				return true
 			})
 			checkLocalRegistries(p, pkg, file, exportMemo)
@@ -240,50 +252,36 @@ func runMetricLint(p *ModulePass) {
 	}
 }
 
-// checkLabelArgs validates Label composite literals passed to an
-// exporter: the Key field must be a compile-time-constant snake_case
-// string.
-func checkLabelArgs(p *ModulePass, info *types.Info, dirs *Directives, call *ast.CallExpr) {
-	fn := staticCallee(info, call)
-	if fn == nil || !strings.HasPrefix(fn.Name(), "WritePrometheus") {
+// checkLabelLit validates a Label composite literal: the Key field
+// must be a compile-time-constant snake_case string. A Label is any
+// named type called Label with string Key and Value fields.
+func checkLabelLit(p *ModulePass, info *types.Info, dirs *Directives, lit *ast.CompositeLit) {
+	tv, ok := info.Types[ast.Expr(lit)]
+	if !ok || !labelLike(tv.Type) {
 		return
 	}
-	for _, arg := range call.Args {
-		lit, ok := unparen(arg).(*ast.CompositeLit)
+	for _, el := range lit.Elts {
+		kv, ok := el.(*ast.KeyValueExpr)
 		if !ok {
 			continue
 		}
-		tv, ok := info.Types[ast.Expr(lit)]
-		if !ok || tv.Type == nil {
+		key, ok := kv.Key.(*ast.Ident)
+		if !ok || key.Name != "Key" {
 			continue
 		}
-		named, ok := tv.Type.(*types.Named)
-		if !ok || named.Obj().Name() != "Label" {
+		if dirs.covered("metricok", kv.Pos()) {
 			continue
 		}
-		for _, el := range lit.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok || key.Name != "Key" {
-				continue
-			}
-			if dirs.covered("metricok", kv.Pos()) {
-				continue
-			}
-			vtv, ok := info.Types[kv.Value]
-			if !ok || vtv.Value == nil || vtv.Value.Kind() != constant.String {
-				p.Report(kv.Pos(), "label key is not compile-time constant",
-					"label sets must be fixed at build time; waive with //csecg:metricok")
-				continue
-			}
-			k := constant.StringVal(vtv.Value)
-			if k == "" || k[0] == '_' || !validNameChars(k) {
-				p.Report(kv.Pos(), fmt.Sprintf("label key %q is not snake_case", k),
-					"label sets must be fixed at build time; waive with //csecg:metricok")
-			}
+		vtv, ok := info.Types[kv.Value]
+		if !ok || vtv.Value == nil || vtv.Value.Kind() != constant.String {
+			p.Report(kv.Pos(), "label key is not compile-time constant",
+				"label sets must be fixed at build time; waive with //csecg:metricok")
+			continue
+		}
+		k := constant.StringVal(vtv.Value)
+		if k == "" || k[0] == '_' || !validNameChars(k) {
+			p.Report(kv.Pos(), fmt.Sprintf("label key %q is not snake_case", k),
+				"label sets must be fixed at build time; waive with //csecg:metricok")
 		}
 	}
 }
@@ -411,5 +409,29 @@ func calleeExports(p *ModulePass, fn *types.Func, memo map[*FuncNode]bool) bool 
 	if node := p.Graph.Node(fn); node != nil {
 		return exportsRegistry(node, memo)
 	}
-	return strings.HasPrefix(fn.Name(), "WritePrometheus")
+	return exporterName(fn.Name())
+}
+
+// labelLike reports whether t is a named type called Label whose struct
+// has string Key and Value fields.
+func labelLike(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "Label" {
+		return false
+	}
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	key, value := false, false
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		switch {
+		case f.Name() == "Key" && isString(f.Type()):
+			key = true
+		case f.Name() == "Value" && isString(f.Type()):
+			value = true
+		}
+	}
+	return key && value
 }

@@ -73,6 +73,17 @@ func WritePrometheusLabeled(w io.Writer, r *Registry, labels ...Label) error {
 	return err
 }
 
+// Source binds a registry to the label set its samples carry, for
+// AppendPrometheus.
+type Source struct {
+	Registry *Registry
+	Labels   []Label
+}
+
+func AppendPrometheus(dst []byte, srcs []Source) []byte {
+	return append(dst, "# metrics\n"...)
+}
+
 // export reaches WritePrometheus through one hop; handing a registry to
 // it counts as exporting.
 func export(w io.Writer, r *Registry) {

@@ -63,3 +63,17 @@ func Labels(w io.Writer, session string) {
 		Label{Key: "UpperKey", Value: session},              // want "label key .* is not snake_case"
 		Label{Key: strings.ToLower("HOST"), Value: session}) // want "label key is not compile-time constant"
 }
+
+// Sources builds label sets ahead of the export call, the way a server
+// does when a session attaches: keys are checked where the literal is
+// written, not only at the call.
+func Sources(session string) []byte {
+	reg := NewRegistry()
+	reg.Counter("sources_total").Inc()
+	good := Source{Registry: reg, Labels: []Label{{Key: "session", Value: session}}}
+	bad := Source{Registry: reg, Labels: []Label{
+		{Key: "Session", Value: session},                   // want "label key .* is not snake_case"
+		{Key: strings.TrimSpace(" host "), Value: session}, // want "label key is not compile-time constant"
+	}}
+	return AppendPrometheus(nil, []Source{good, bad})
+}

@@ -1,11 +1,11 @@
 package monitor
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -22,10 +22,18 @@ type Server struct {
 	clock   telemetry.Clock
 	startNs int64
 
+	// buildInfo is the rendered csecg_build_info family; the build
+	// metadata cannot change while the process runs.
+	buildInfo []byte
+
 	// Sessions live in an append-only slice so every export walks them
 	// in attach order — no map iteration anywhere near the wire format.
+	// sources holds, per session, what /metrics renders; an element is
+	// never rewritten once appended, so a scrape reads the slice it
+	// loaded under mu without holding the lock.
 	mu       sync.Mutex
 	sessions []*Session
+	sources  []telemetry.Source
 	draining bool
 
 	// inflight tracks requests currently being served, so shutdown can
@@ -43,13 +51,19 @@ func NewServer(clock telemetry.Clock) *Server {
 	if clock == nil {
 		clock = telemetry.WallClock{}
 	}
-	return &Server{clock: clock, startNs: clock.Now()}
+	return &Server{clock: clock, startNs: clock.Now(), buildInfo: buildInfoFamily()}
 }
 
 // Attach registers a session with the plane.
 func (s *Server) Attach(ses *Session) {
+	src := telemetry.Source{
+		Registry: ses.Registry(),
+		Spans:    ses.Spans(),
+		Labels:   []telemetry.Label{{Key: "session", Value: ses.Name()}},
+	}
 	s.mu.Lock()
 	s.sessions = append(s.sessions, ses)
+	s.sources = append(s.sources, src)
 	s.mu.Unlock()
 }
 
@@ -127,34 +141,41 @@ func send(w http.ResponseWriter, status int, contentType string, body []byte) {
 	}
 }
 
-// handleMetrics renders every session's registry with a session label,
-// concatenated into one exposition document, prefixed by the process-
-// level series (build metadata, uptime) that belong to the plane rather
-// than any one session.
+// metricsBufs recycles /metrics bodies: a scrape renders into a buffer
+// that has already grown to the document's size, so it allocates
+// nothing however many sessions are attached.
+var metricsBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// handleMetrics serves the exposition document rendered by
+// appendMetrics from a pooled buffer.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "# HELP csecg_build_info build metadata as labels; the value is constant 1\n"+
-		"# TYPE csecg_build_info gauge\ncsecg_build_info{%s} 1\n", buildInfoLabels())
-	fmt.Fprintf(&b, "# HELP process_uptime_seconds_total seconds since the observability plane started\n"+
-		"# TYPE process_uptime_seconds_total counter\nprocess_uptime_seconds_total %.3f\n",
-		float64(s.clock.Now()-s.startNs)/1e9)
-	for _, ses := range s.snapshot() {
-		if err := telemetry.WritePrometheusLabeled(&b, ses.Registry(),
-			telemetry.Label{Key: "session", Value: ses.Name()}); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if sp := ses.Spans(); sp != nil {
-			// Per-stage latency contribution with trace-ID exemplars —
-			// the scrape-side entry point of the latency-triage loop.
-			if err := sp.WriteStageSeconds(&b,
-				telemetry.Label{Key: "session", Value: ses.Name()}); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-	}
-	send(w, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", b.Bytes())
+	buf := metricsBufs.Get().(*[]byte)
+	*buf = s.appendMetrics((*buf)[:0])
+	send(w, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", *buf)
+	metricsBufs.Put(buf)
+}
+
+// uptimeHeader opens the process_uptime_seconds_total family.
+const uptimeHeader = "# HELP process_uptime_seconds_total seconds since the observability plane started\n" +
+	"# TYPE process_uptime_seconds_total counter\nprocess_uptime_seconds_total "
+
+// appendMetrics appends the /metrics document to dst: the process-level
+// series that belong to the plane rather than any one session (build
+// metadata, uptime), then every session's families rendered
+// family-major by telemetry.AppendPrometheus — one # HELP/# TYPE per
+// family, then each session's samples with its session label, in attach
+// order.
+//
+//csecg:host export-time formatting
+func (s *Server) appendMetrics(dst []byte) []byte {
+	dst = append(dst, s.buildInfo...)
+	dst = append(dst, uptimeHeader...)
+	dst = strconv.AppendFloat(dst, float64(s.clock.Now()-s.startNs)/1e9, 'f', 3, 64)
+	dst = append(dst, '\n')
+	s.mu.Lock()
+	srcs := s.sources
+	s.mu.Unlock()
+	return telemetry.AppendPrometheus(dst, srcs)
 }
 
 // handleHealthz is pure liveness: the process is up and serving.
@@ -209,11 +230,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	send(w, status, "application/json", append(body, '\n'))
 }
 
-// buildInfoLabels renders the csecg_build_info label set from the
+// buildInfoFamily renders the csecg_build_info family from the
 // binary's embedded build metadata: module version, VCS revision and
 // dirty flag, and the Go toolchain. Absent fields (tests, go run) read
 // "unknown" so the series shape is stable.
-func buildInfoLabels() string {
+func buildInfoFamily() []byte {
 	version, commit, modified, goVersion := "unknown", "unknown", "unknown", "unknown"
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		goVersion = bi.GoVersion
@@ -230,7 +251,9 @@ func buildInfoLabels() string {
 		}
 	}
 	esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return fmt.Sprintf("version=%q,commit=%q,modified=%q,go=%q",
+	return fmt.Appendf(nil, "# HELP csecg_build_info build metadata as labels; the value is constant 1\n"+
+		"# TYPE csecg_build_info gauge\n"+
+		"csecg_build_info{version=\"%s\",commit=\"%s\",modified=\"%s\",go=\"%s\"} 1\n",
 		esc.Replace(version), esc.Replace(commit), esc.Replace(modified), esc.Replace(goVersion))
 }
 

@@ -1,8 +1,9 @@
 package telemetry
 
 import (
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Registry is a named collection of counters, gauges and histograms.
@@ -15,7 +16,40 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	help       map[string]string
+
+	// sorted is the exporters' view: every metric with its help text,
+	// per kind, sorted by name. It is rebuilt on the first read after a
+	// metric is created or a help text set, and never modified once
+	// published, so a scrape may walk it while streaming code creates
+	// metrics lazily.
+	sorted atomic.Pointer[families]
 }
+
+// metricKind indexes families; exporters render the kinds in this
+// order.
+type metricKind int
+
+const (
+	counterKind metricKind = iota
+	gaugeKind
+	histogramKind
+	numKinds
+)
+
+// kindTypes are the # TYPE words of the metric kinds.
+var kindTypes = [numKinds]string{"counter", "gauge", "histogram"}
+
+// family is one registered metric as the exporters read it: the
+// pointer of its kind is set, the other two are nil.
+type family struct {
+	name, help string
+	counter    *Counter
+	gauge      *Gauge
+	hist       *Histogram
+}
+
+// families holds a registry's metrics by kind, each list sorted by name.
+type families [numKinds][]family
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -33,6 +67,7 @@ func (r *Registry) SetHelp(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.help[name] = help
+	r.sorted.Store(nil)
 }
 
 // Help returns the metric's docstring ("" when unset).
@@ -50,6 +85,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
+		r.sorted.Store(nil)
 	}
 	return c
 }
@@ -62,6 +98,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
+		r.sorted.Store(nil)
 	}
 	return g
 }
@@ -74,39 +111,60 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if !ok {
 		h = &Histogram{}
 		r.histograms[name] = h
+		r.sorted.Store(nil)
 	}
 	return h
 }
 
 // CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return sortedKeys(r.counters)
-}
+func (r *Registry) CounterNames() []string { return names(r.families()[counterKind]) }
 
 // GaugeNames returns the registered gauge names, sorted.
-func (r *Registry) GaugeNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return sortedKeys(r.gauges)
-}
+func (r *Registry) GaugeNames() []string { return names(r.families()[gaugeKind]) }
 
 // HistogramNames returns the registered histogram names, sorted.
-func (r *Registry) HistogramNames() []string {
+func (r *Registry) HistogramNames() []string { return names(r.families()[histogramKind]) }
+
+// families returns the sorted exporter view, rebuilding it when a
+// metric or help text was added since the last read. The result is
+// shared and read-only.
+func (r *Registry) families() *families {
+	if f := r.sorted.Load(); f != nil {
+		return f
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return sortedKeys(r.histograms)
+	if f := r.sorted.Load(); f != nil {
+		return f
+	}
+	f := &families{
+		counterKind:   sortedFamilies(r.counters, r.help, func(f *family, c *Counter) { f.counter = c }),
+		gaugeKind:     sortedFamilies(r.gauges, r.help, func(f *family, g *Gauge) { f.gauge = g }),
+		histogramKind: sortedFamilies(r.histograms, r.help, func(f *family, h *Histogram) { f.hist = h }),
+	}
+	r.sorted.Store(f)
+	return f
 }
 
-// sortedKeys returns the map's keys in sorted order (exports must be
-// deterministic, so no raw map iteration escapes the registry).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	//csecg:orderok keys are sorted immediately below
-	for k := range m {
-		keys = append(keys, k)
+// sortedFamilies lists one kind's metrics sorted by name (exports must
+// be deterministic, so no raw map iteration escapes the registry).
+func sortedFamilies[M any](m map[string]*M, help map[string]string, set func(*family, *M)) []family {
+	out := make([]family, 0, len(m))
+	//csecg:orderok families are sorted immediately below
+	for name, metric := range m {
+		f := family{name: name, help: help[name]}
+		set(&f, metric)
+		out = append(out, f)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.SortFunc(out, func(a, b family) int { return compareName(a, b.name) })
+	return out
+}
+
+// names copies the family names, so callers own the result.
+func names(fams []family) []string {
+	out := make([]string, len(fams))
+	for i := range fams {
+		out[i] = fams[i].name
+	}
+	return out
 }

@@ -41,22 +41,20 @@ type BucketSnapshot struct {
 	Count  int64 `json:"count"`
 }
 
-// Snapshot copies the registry's current state. It allocates and takes
-// the registry mutex per name lookup — a host-side export operation,
-// never called from capture hotpaths.
+// Snapshot copies the registry's current state. It allocates — a
+// host-side export operation, never called from capture hotpaths.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
-	for _, name := range r.CounterNames() {
-		//csecg:metricok enumerating already-registered names, not minting new series
-		s.Counters = append(s.Counters, CounterSnapshot{Name: name, Value: r.Counter(name).Load()})
+	f := r.families()
+	for _, c := range f[counterKind] {
+		s.Counters = append(s.Counters, CounterSnapshot{Name: c.name, Value: c.counter.Load()})
 	}
-	for _, name := range r.GaugeNames() {
-		g := r.Gauge(name) //csecg:metricok enumerating already-registered names, not minting new series
-		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Value: g.Load(), Max: g.Max()})
+	for _, g := range f[gaugeKind] {
+		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: g.name, Value: g.gauge.Load(), Max: g.gauge.Max()})
 	}
-	for _, name := range r.HistogramNames() {
-		h := r.Histogram(name) //csecg:metricok enumerating already-registered names, not minting new series
-		hs := HistogramSnapshot{Name: name, Count: h.Count(), Sum: h.Sum(), Max: h.Max()}
+	for _, fh := range f[histogramKind] {
+		h := fh.hist
+		hs := HistogramSnapshot{Name: fh.name, Count: h.Count(), Sum: h.Sum(), Max: h.Max()}
 		for b := 0; b < NumBuckets; b++ {
 			if n := h.Bucket(b); n != 0 {
 				hs.Buckets = append(hs.Buckets, BucketSnapshot{Bucket: b, Count: n})

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 )
 
@@ -172,7 +170,7 @@ func TraceIDString(id uint64) string {
 	if id == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%016x", id)
+	return string(appendTraceID(make([]byte, 0, 16), id))
 }
 
 // MaxSpans bounds one window's span tree. A window that exhausts the
@@ -658,54 +656,15 @@ func ReadTraceRecords(r io.Reader) ([]TraceRecord, error) {
 	return out, nil
 }
 
-// formatSeconds renders a nanosecond count as seconds for the
-// OpenMetrics exposition.
-func formatSeconds(ns int64) string {
-	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
-}
-
 // WriteStageSeconds exposes the per-stage contribution histograms as
 // csecg_window_stage_seconds{stage=...} with cumulative le buckets in
 // seconds and OpenMetrics exemplars linking each bucket to the trace ID
 // that last landed in it — the jump-off from a latency panel to
 // csecg-triage or a sealed bundle. Observations are integer nanoseconds
 // internally; the unit conversion happens only here, at export time.
+// AppendPrometheus renders the same family for several tracers at once.
 //
 //csecg:host export-time formatting
 func (c *CausalTracer) WriteStageSeconds(w io.Writer, labels ...Label) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP %s Per-stage contribution to window decode latency, with trace exemplars\n", StageSecondsMetric)
-	fmt.Fprintf(&b, "# TYPE %s histogram\n", StageSecondsMetric)
-	for idx, stage := range c.stageNames {
-		h := c.stageHists[idx]
-		n := h.Count()
-		if n == 0 {
-			continue
-		}
-		ls := make([]Label, 0, len(labels)+1)
-		ls = append(ls, labels...)
-		ls = append(ls, Label{Key: "stage", Value: stage})
-		top := 0
-		for bkt := 0; bkt < NumBuckets; bkt++ {
-			if h.Bucket(bkt) > 0 {
-				top = bkt
-			}
-		}
-		var cum int64
-		for bkt := 0; bkt <= top; bkt++ {
-			cum += h.Bucket(bkt)
-			fmt.Fprintf(&b, "%s_bucket%s %d", StageSecondsMetric,
-				labelSet(ls, fmt.Sprintf("le=%q", formatSeconds(BucketHigh(bkt)))), cum)
-			e := &c.exemplars[idx][bkt]
-			if tid := e.trace.Load(); tid != 0 {
-				fmt.Fprintf(&b, " # {trace_id=%q} %s", TraceIDString(tid), formatSeconds(e.valNs.Load()))
-			}
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "%s_bucket%s %d\n", StageSecondsMetric, labelSet(ls, `le="+Inf"`), n)
-		fmt.Fprintf(&b, "%s_sum%s %s\n", StageSecondsMetric, labelSet(ls, ""), formatSeconds(h.Sum()))
-		fmt.Fprintf(&b, "%s_count%s %d\n", StageSecondsMetric, labelSet(ls, ""), n)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return writeSource(w, Source{Spans: c, Labels: labels})
 }

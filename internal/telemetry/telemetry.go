@@ -16,8 +16,12 @@
 // Every exporter reads one of two structures, the registry or the span
 // trees:
 //
-//   - WritePrometheus: a Prometheus text-format metrics dump, with
-//     WriteStageSeconds adding the per-stage exemplar histograms;
+//   - AppendPrometheus: Prometheus text rendered into a caller-owned
+//     buffer, family-major over any number of labeled sources
+//     (registries and span tracers' per-stage exemplar histograms),
+//     allocation-free once warmed; WritePrometheus,
+//     WritePrometheusLabeled and WriteStageSeconds render one source
+//     through it;
 //   - WriteTraceRecords / ReadTraceRecords: round-trippable span-tree
 //     JSONL, the csecg-triage input;
 //   - WriteChromeTrace: the same span trees as Chrome trace_event JSON,
