@@ -7,12 +7,6 @@ import (
 	"strings"
 )
 
-// knownBadNames are the metric names the exposition is known to get
-// wrong, which the checker lets through. RunStream names its stage
-// histograms stream_stage_<stage>_ns, and the cs-sample stage carries a
-// hyphen, which the text format does not allow in a metric name.
-var knownBadNames = map[string]bool{"stream_stage_cs-sample_ns": true}
-
 // checkExposition validates a Prometheus text-format document line by
 // line and returns every problem found (nil when valid):
 //
@@ -20,7 +14,7 @@ var knownBadNames = map[string]bool{"stream_stage_cs-sample_ns": true}
 //     and at most one # HELP;
 //   - each family's samples are contiguous (a histogram's _bucket, _sum
 //     and _count belong to its family);
-//   - metric names (bar knownBadNames), label keys and label-value
+//   - metric names, label keys and label-value
 //     escapes are well formed, and values parse;
 //   - within every histogram series, le bounds ascend, bucket counts are
 //     cumulative, and the +Inf bucket equals _count;
@@ -63,7 +57,7 @@ func checkExposition(body string) []string {
 				continue
 			}
 			name := f[2]
-			if len(f) != 4 || !validMetricName(name) && !knownBadNames[name] {
+			if len(f) != 4 || !validMetricName(name) {
 				fail(n, "malformed TYPE line %q", line)
 				continue
 			}
@@ -93,7 +87,7 @@ func checkExposition(body string) []string {
 				family, suffix = base, s
 			}
 		}
-		if !validMetricName(family) && !knownBadNames[family] {
+		if !validMetricName(family) {
 			fail(n, "bad metric name %q", name)
 		}
 		if family != current {

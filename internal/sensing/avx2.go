@@ -9,11 +9,6 @@ import (
 	"csecg/internal/linalg"
 )
 
-// useAVX2 selects the AVX2 kernels for float32 operators built by Op.
-// It is the start-up CPU check; tests clear it to build operators on
-// the portable Go kernels.
-var useAVX2 = cpufeat.HasAVX2
-
 // lanes is the AVX2 vector width in float32 lanes.
 const lanes = 8
 
@@ -54,7 +49,7 @@ type avx2Op struct {
 // AVX2 and Φ has at least eight rows and columns.
 func opAVX2[T linalg.Float](s *SparseBinary) (linalg.Op[T], bool) {
 	var zero T
-	if _, f32 := any(zero).(float32); !f32 || !useAVX2 || s.m < lanes || s.n < lanes {
+	if _, f32 := any(zero).(float32); !f32 || !cpufeat.HasAVX2 || s.m < lanes || s.n < lanes {
 		return linalg.Op[T]{}, false
 	}
 	op, ok := any(newAVX2Op(s).op()).(linalg.Op[T])

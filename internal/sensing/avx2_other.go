@@ -4,7 +4,7 @@
 
 package sensing
 
-// The AVX2 kernels exist only on amd64; elsewhere useAVX2 is false and
+// The AVX2 kernels exist only on amd64; elsewhere cpufeat.HasAVX2 is false and
 // Op never selects them.
 
 func phiAVX2(dst, x *float32, idx, lens *int32, groups int, scale float32) {

@@ -145,9 +145,9 @@ func TestOpBitIdenticalToReference(t *testing.T) {
 			if simd && !cpufeat.HasAVX2 {
 				t.Skip("CPU without AVX2")
 			}
-			saved := useAVX2
-			useAVX2 = simd
-			defer func() { useAVX2 = saved }()
+			saved := cpufeat.HasAVX2
+			cpufeat.HasAVX2 = simd
+			defer func() { cpufeat.HasAVX2 = saved }()
 			checkOpBitExact[float32](t, "float32")
 			checkOpBitExact[float64](t, "float64")
 		})
@@ -165,10 +165,10 @@ func benchOp(b *testing.B, simd bool, f func(s *SparseBinary, op linalg.Op[float
 	if err != nil {
 		b.Fatal(err)
 	}
-	saved := useAVX2
-	useAVX2 = simd
+	saved := cpufeat.HasAVX2
+	cpufeat.HasAVX2 = simd
 	op := Op[float32](s)
-	useAVX2 = saved
+	cpufeat.HasAVX2 = saved
 	// Φ's input is a reconstructed window, dense in practice; Φᵀ's
 	// input is a residual.
 	x, y := make([]float32, 512), zeroHeavy[float32](256, 3)
@@ -193,7 +193,7 @@ func BenchmarkApplyGo(b *testing.B) {
 
 func BenchmarkApply(b *testing.B) {
 	dst := make([]float32, 256)
-	benchOp(b, useAVX2, func(_ *SparseBinary, op linalg.Op[float32], x, _ []float32) { op.Apply(dst, x) })
+	benchOp(b, cpufeat.HasAVX2, func(_ *SparseBinary, op linalg.Op[float32], x, _ []float32) { op.Apply(dst, x) })
 }
 
 func BenchmarkApplyTReference(b *testing.B) {
@@ -208,5 +208,5 @@ func BenchmarkApplyTGo(b *testing.B) {
 
 func BenchmarkApplyT(b *testing.B) {
 	dst := make([]float32, 512)
-	benchOp(b, useAVX2, func(_ *SparseBinary, op linalg.Op[float32], _, y []float32) { op.ApplyT(dst, y) })
+	benchOp(b, cpufeat.HasAVX2, func(_ *SparseBinary, op linalg.Op[float32], _, y []float32) { op.ApplyT(dst, y) })
 }

@@ -25,14 +25,21 @@
 // Each FISTA iteration runs the operator's Apply and ApplyT, then one
 // fused pass (proxStep) that forms the shrunk iterate and, from the
 // same loads, the restart test and both norms of the stopping rule,
-// then one momentum pass. The Vectorized option ("NEON", versus the
-// scalar "VFP" reference) now chooses only the form of the shrink —
-// the if-converted ShrinkBranchless or the branchy Shrink, which differ
-// only in the sign of zero outputs — and, in internal/coordinator, the
-// cycle-cost model that prices the iteration. ISTA and TwIST still run
-// the separate 4-wide or scalar linalg kernels. The measured speed of
-// both modes comes from the operators, whose float32 forms run on AVX2
-// assembly kernels on amd64 (internal/sensing, internal/wavelet).
+// then one momentum pass (momentumStep). The Vectorized option
+// ("NEON", versus the scalar "VFP" reference) chooses only the form of
+// the shrink — the if-converted ShrinkBranchless or the branchy Shrink,
+// which differ only in the sign of zero outputs — and, in
+// internal/coordinator, the cycle-cost model that prices the
+// iteration. ISTA and TwIST still run the separate 4-wide or scalar
+// linalg kernels.
+//
+// The float32 FISTA runs on AVX2 assembly on amd64, in every pass: the
+// operators in internal/sensing and internal/wavelet, and both vector
+// passes here (avx2Kernels), in either shrink form. The kernels are
+// bit-identical to the Go loops, which stay the reference and the path
+// for float64, other architectures and CPUs without AVX2; proxStep
+// splits its float64 sums into eight lane stripes so that both paths
+// add in the same order.
 package solver
 
 import (
@@ -150,7 +157,7 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 		st.halfGradient(grad, yk)
 		// α_k = prox_{λ/L}(y_k − (1/L)∇f(y_k)), Eq. (4), formed in α_k's
 		// buffer so that y_k survives for the restart test.
-		p := proxStep(alpha, alphaPrev, yk, grad, step, thresh, st.vec)
+		p := st.prox(alpha, alphaPrev, yk, grad, step, thresh)
 		// Gradient restart: (y_k − α_k) is the step's descent direction
 		// up to 1/L, so a positive inner product with the last move
 		// α_k − α_{k−1} means the momentum has carried the iterate
@@ -162,9 +169,7 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 		tNext := (1 + T(math.Sqrt(float64(1+4*tk*tk)))) / 2
 		// y_{k+1} = α_k + ((t_k−1)/t_{k+1})(α_k − α_{k−1}), Eq. (6).
 		beta := (tk - 1) / tNext
-		for i := range yk {
-			yk[i] = alpha[i] + beta*(alpha[i]-alphaPrev[i])
-		}
+		st.momentum(yk, alpha, alphaPrev, beta)
 		tk = tNext
 		res.Iterations = k
 		if opt.Monitor != nil {
@@ -199,18 +204,48 @@ type proxSums struct {
 	norm2   float64 // ‖α_k‖₂²
 }
 
+// proxStripes holds proxSums split into eight stripes: element i adds
+// into stripe i mod 8, in ascending i, which is the order in which the
+// eight lanes of the AVX2 kernels add.
+type proxStripes struct {
+	restart, step2, norm2 [lanes]float64
+}
+
+// sum reduces each sum's stripes.
+func (s *proxStripes) sum() proxSums {
+	return proxSums{restart: reduceStripes(&s.restart), step2: reduceStripes(&s.step2), norm2: reduceStripes(&s.norm2)}
+}
+
+// reduceStripes adds eight stripes over one fixed tree, the same on
+// every dispatch path.
+func reduceStripes(s *[lanes]float64) float64 {
+	return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
+}
+
 // proxStep is FISTA's proximal-gradient step in one pass: it forms
 // α = shrink(y − step·g, thresh) and, from the same loads, the sums of
-// proxSums. The shrink is the scalar branchy form, or the if-converted
-// form of the NEON path when branchless is set; they differ only in
-// the sign of zero outputs.
+// proxSums, striped and reduced as proxStripes describes. The shrink
+// is the scalar branchy form, or the if-converted form of the NEON
+// path when branchless is set; they differ only in the sign of zero
+// outputs. It is the reference the AVX2 kernels reproduce bit for bit.
 //
 //csecg:hotpath the fused vector step of every FISTA iteration
 func proxStep[T linalg.Float](alpha, prev, y, g []T, step, thresh T, branchless bool) proxSums {
+	var s proxStripes
+	proxStriped(&s, alpha, prev, y, g, step, thresh, branchless)
+	return s.sum()
+}
+
+// proxStriped runs proxStep's loop, adding element i's terms into
+// stripe i mod 8 of s. The explicit conversion keeps step·g a
+// separately rounded product wherever the compiler could fuse it into
+// the subtraction. The float64 products are exact.
+//
+//csecg:hotpath the loop of proxStep and of the AVX2 kernels' tail
+func proxStriped[T linalg.Float](s *proxStripes, alpha, prev, y, g []T, step, thresh T, branchless bool) {
 	prev, y, g = prev[:len(alpha)], y[:len(alpha)], g[:len(alpha)]
-	var s proxSums
 	for i := range alpha {
-		v := y[i] - step*g[i]
+		v := y[i] - T(step*g[i])
 		var a T
 		if branchless {
 			a = linalg.ShrinkBranchless(v, thresh)
@@ -218,12 +253,24 @@ func proxStep[T linalg.Float](alpha, prev, y, g []T, step, thresh T, branchless 
 			a = linalg.Shrink(v, thresh)
 		}
 		d := float64(a - prev[i])
-		s.restart += float64(y[i]-a) * d
-		s.step2 += d * d
-		s.norm2 += float64(a) * float64(a)
+		l := i & (lanes - 1)
+		s.restart[l] += float64(y[i]-a) * d
+		s.step2[l] += d * d
+		s.norm2[l] += float64(a) * float64(a)
 		alpha[i] = a
 	}
-	return s
+}
+
+// momentumStep forms the next momentum point
+// y = α + β(α − α_prev), Eq. (6), with β(α − α_prev) rounded before
+// the add.
+//
+//csecg:hotpath the momentum pass of every FISTA iteration
+func momentumStep[T linalg.Float](y, alpha, prev []T, beta T) {
+	alpha, prev = alpha[:len(y)], prev[:len(y)]
+	for i := range y {
+		y[i] = alpha[i] + T(beta*(alpha[i]-prev[i]))
+	}
 }
 
 // ISTA is the unaccelerated baseline (O(1/k) vs FISTA's O(1/k²)); the
@@ -282,6 +329,8 @@ type state[T linalg.Float] struct {
 	r    []T // residual buffer, length M
 	diff []T // convergence-test buffer, length N
 	vec  bool
+	// simd runs FISTA's vector passes when non-nil (selectKernels).
+	simd kernels[T]
 }
 
 func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T], error) {
@@ -297,7 +346,7 @@ func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T]
 	if opt.Tol == 0 {
 		opt.Tol = 1e-4
 	}
-	st := &state[T]{a: a, y: y, r: make([]T, a.OutDim), diff: make([]T, a.InDim), vec: opt.Vectorized}
+	st := &state[T]{a: a, y: y, r: make([]T, a.OutDim), diff: make([]T, a.InDim), vec: opt.Vectorized, simd: selectKernels[T]()}
 	if opt.Lipschitz <= 0 {
 		opt.Lipschitz = 2 * linalg.PowerIterOpNorm(a, 30)
 		if opt.Lipschitz <= 0 {
@@ -313,6 +362,23 @@ func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T]
 		}
 	}
 	return st, nil
+}
+
+// prox runs proxStep in the shrink form of the run's mode.
+func (st *state[T]) prox(alpha, prev, y, g []T, step, thresh T) proxSums {
+	if st.simd != nil {
+		return st.simd.prox(alpha, prev, y, g, step, thresh, st.vec)
+	}
+	return proxStep(alpha, prev, y, g, step, thresh, st.vec)
+}
+
+// momentum runs momentumStep.
+func (st *state[T]) momentum(y, alpha, prev []T, beta T) {
+	if st.simd != nil {
+		st.simd.momentum(y, alpha, prev, beta)
+		return
+	}
+	momentumStep(y, alpha, prev, beta)
 }
 
 // halfGradient computes ∇f(x)/2 = Aᵀ(Ax − y) into dst.

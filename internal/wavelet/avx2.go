@@ -1,14 +1,6 @@
 package wavelet
 
-import (
-	"csecg/internal/cpufeat"
-	"csecg/internal/linalg"
-)
-
-// useAVX2 selects the AVX2 kernels for float32 transforms built by New.
-// It is the start-up CPU check; tests clear it to build transforms on
-// the portable Go kernels.
-var useAVX2 = cpufeat.HasAVX2
+import "csecg/internal/linalg"
 
 // lanes is the AVX2 vector width in float32 lanes.
 const lanes = 8

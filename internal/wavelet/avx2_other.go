@@ -2,7 +2,7 @@
 
 package wavelet
 
-// The AVX2 kernels exist only on amd64; elsewhere useAVX2 is false and
+// The AVX2 kernels exist only on amd64; elsewhere cpufeat.HasAVX2 is false and
 // New never selects them.
 
 func analyzeAVX2(a, d, xe, xo, lo, hi *float32, blocks, taps int) {

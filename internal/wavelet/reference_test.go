@@ -173,9 +173,9 @@ func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
 			if simd && !cpufeat.HasAVX2 {
 				t.Skip("CPU without AVX2")
 			}
-			saved := useAVX2
-			useAVX2 = simd
-			defer func() { useAVX2 = saved }()
+			saved := cpufeat.HasAVX2
+			cpufeat.HasAVX2 = simd
+			defer func() { cpufeat.HasAVX2 = saved }()
 			f(t)
 		})
 	}
@@ -231,14 +231,14 @@ func TestTransformToAllocatesNothing(t *testing.T) {
 //	go test -run '^$' -bench 'Reference|To' ./internal/wavelet
 
 func benchTransform(b *testing.B, f func(tr *Transform[float32], dst, x, scratch []float32)) {
-	benchTransformOn(b, useAVX2, f)
+	benchTransformOn(b, cpufeat.HasAVX2, f)
 }
 
 func benchTransformOn(b *testing.B, simd bool, f func(tr *Transform[float32], dst, x, scratch []float32)) {
-	saved := useAVX2
-	useAVX2 = simd
+	saved := cpufeat.HasAVX2
+	cpufeat.HasAVX2 = simd
 	tr, err := New[float32](4, 512, 5)
-	useAVX2 = saved
+	cpufeat.HasAVX2 = saved
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package wavelet
 import (
 	"fmt"
 
+	"csecg/internal/cpufeat"
 	"csecg/internal/linalg"
 )
 
@@ -69,7 +70,7 @@ func New[T linalg.Float](order, n, levels int) (*Transform[T], error) {
 		t.ge = append(t.ge, t.g[taps-2-2*j])
 		t.gOdd = append(t.gOdd, t.g[taps-1-2*j])
 	}
-	if t32, ok := any(t).(*Transform[float32]); ok && useAVX2 {
+	if t32, ok := any(t).(*Transform[float32]); ok && cpufeat.HasAVX2 {
 		t.avx2 = any(avx2Transform{t32}).(kernels[T])
 	}
 	return t, nil

@@ -2,6 +2,7 @@ package csecg
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"csecg/internal/blackbox"
@@ -27,7 +28,9 @@ type StreamConfig struct {
 	Seconds float64
 	// Params configures the pipeline.
 	Params Params
-	// Mode selects the coordinator build (default ModeNEON).
+	// Mode selects the coordinator build. The zero value is ModeVFP,
+	// the scalar build with the branchy shrink; set ModeNEON for the
+	// vectorized build.
 	Mode coordinator.Mode
 	// Link configures the data downlink (zero value → DefaultLinkConfig).
 	Link LinkConfig
@@ -235,7 +238,9 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	dec.Instrument(reg, cfg.Clock)
 	stageHist := make(map[string]*telemetry.Histogram, len(telemetry.Stages()))
 	for _, s := range telemetry.Stages() {
-		stageHist[s] = reg.Histogram("stream_stage_" + s + "_ns")
+		// Stage names may hold '-' (cs-sample), which a Prometheus
+		// metric name may not.
+		stageHist[s] = reg.Histogram("stream_stage_" + strings.ReplaceAll(s, "-", "_") + "_ns")
 	}
 	latHist := reg.Histogram("stream_decode_latency_ns")
 
