@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build portable perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke monitor-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build portable perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke monitor-smoke setup-bench bench perf perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build portable perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke monitor-smoke
+check: vet lint vet-baseline-empty stack-budget build portable perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke monitor-smoke setup-bench
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -83,9 +83,11 @@ fuzz-smoke:
 # chaos matrix with the flight recorder sealing diagnostics bundles,
 # then replay every sealed bundle through the real receiver + solver
 # stack and fail on any divergence from the record (DESIGN.md §13).
+# Span tracing is on, so every recorded window carries a trace ID that
+# replay must re-derive from the bundle's trace seed.
 replay-smoke:
-	rm -rf bundles-smoke
-	$(GO) run ./cmd/csecg-bench -exp chaos -short -record-dir bundles-smoke
+	rm -rf bundles-smoke replay-spans-smoke.jsonl
+	$(GO) run ./cmd/csecg-bench -exp chaos -short -record-dir bundles-smoke -spans replay-spans-smoke.jsonl
 	@ls bundles-smoke/*.jsonl >/dev/null 2>&1 || { echo "replay-smoke: chaos run sealed no bundles"; exit 1; }
 	$(GO) run ./cmd/csecg-replay -v bundles-smoke/*.jsonl
 
@@ -126,6 +128,12 @@ monitor-smoke:
 	{ grep -q 'quality_windows_total{session=' metrics-scrape.prom || { echo "missing session-labeled metrics"; exit 1; }; } && \
 	dups=$$(grep '^# TYPE' metrics-scrape.prom | sort | uniq -d) && \
 	{ [ -z "$$dups" ] || { echo "/metrics repeats # TYPE lines:"; echo "$$dups"; exit 1; }; }
+
+# setup-bench runs each session set-up benchmark once (synthesis,
+# resampling, sensing-support construction) so they keep compiling and
+# running; `-benchtime 1x` makes it a smoke run, not a measurement.
+setup-bench:
+	$(GO) test -run '^$$' -bench 'Channel256|Resample|SparseBinary' -benchtime 1x ./internal/ecg ./internal/dsp ./internal/sensing
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

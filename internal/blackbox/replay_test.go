@@ -7,6 +7,7 @@ import (
 	"csecg/internal/blackbox"
 	"csecg/internal/chaos"
 	"csecg/internal/link"
+	"csecg/internal/telemetry"
 )
 
 // runRecorded executes one chaos scenario with the flight recorder
@@ -203,6 +204,46 @@ func TestUnreproducibleBundleSkipped(t *testing.T) {
 	}
 	if !strings.Contains(rr.SkipReason, "slowdown") {
 		t.Fatalf("skip reason %q does not name the cause", rr.SkipReason)
+	}
+}
+
+// TestTracedChaosBundleReplays: a chaos run with both the flight
+// recorder and the span tracer attached stamps every recorded window
+// with a trace ID, and its bundle must carry the tracer's seed so replay
+// re-derives the same IDs instead of diverging on field=trace.
+func TestTracedChaosBundleReplays(t *testing.T) {
+	dir := t.TempDir()
+	spans := telemetry.NewCausalTracer(telemetry.CausalConfig{Label: "chaos traced"})
+	rep := runRecorded(t, chaos.Scenario{
+		Name:    "traced",
+		Windows: 24,
+		Burst:   &link.BurstConfig{PGoodBad: 0.1, PBadGood: 0.5},
+		Spans:   spans,
+	}, dir)
+	if len(rep.Bundles) == 0 {
+		rep.Recorder.SealNow(blackbox.TriggerManual, "traced capture") //csecg:errok checked below
+	}
+	if err := rep.Recorder.SealErr(); err != nil {
+		t.Fatal(err)
+	}
+	b, rr := replayFile(t, rep.Recorder.Bundles()[0])
+	if b.Header.Meta.TraceSeed != spans.Seed() {
+		t.Fatalf("bundle trace seed %#x, want the tracer's %#x", b.Header.Meta.TraceSeed, spans.Seed())
+	}
+	traced := 0
+	for _, w := range b.Windows {
+		if w.Trace != 0 {
+			traced++
+		}
+	}
+	if traced == 0 {
+		t.Fatal("no recorded window carries a trace ID")
+	}
+	if rr.Skipped || rr.Compared == 0 {
+		t.Fatalf("replay compared nothing: %+v", rr)
+	}
+	if !rr.OK() {
+		t.Fatalf("traced bundle diverged: %+v", rr.Divergences)
 	}
 }
 

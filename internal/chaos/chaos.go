@@ -281,7 +281,12 @@ func Run(sc Scenario) (*Report, error) {
 			rcfg.Session = sc.Name
 		}
 		rec = blackbox.NewRecorder(rcfg)
-		rec.SetMeta(blackbox.NewSessionMeta(rcfg.Session, dec.Params(), coordinator.VFP, tcfg))
+		meta := blackbox.NewSessionMeta(rcfg.Session, dec.Params(), coordinator.VFP, tcfg)
+		if spans != nil {
+			// Replay re-derives each window's trace ID from this seed.
+			meta.TraceSeed = spans.Seed()
+		}
+		rec.SetMeta(meta)
 		if sc.Slowdown > 1 {
 			rec.MarkUnreproducible("solver costs perturbed mid-run (slowdown scenario)")
 		}

@@ -219,6 +219,7 @@ func BenchmarkResample10s(b *testing.B) {
 		x[i] = math.Sin(0.1 * float64(i))
 	}
 	r := NewResampler(32, 45, 24)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Process(x)

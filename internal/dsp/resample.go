@@ -47,18 +47,19 @@ func (r *Resampler) Process(x []float64) []float64 {
 	center := (len(r.proto) - 1) / 2 // remove group delay (in upsampled ticks)
 	for k := 0; k < outLen; k++ {
 		up := k*r.m + center // index in the upsampled-time grid
-		// x contributes at upsampled positions i·L; find the taps that hit them.
-		// h index j must satisfy (up − j) ≡ 0 (mod L).
-		jStart := up % r.l
+		// x contributes at upsampled positions i·L; the taps that hit
+		// them are j ≡ up (mod L), ascending, with input index
+		// i = (up − j)/L falling by one per tap.
+		j := up % r.l
+		i := up / r.l
+		if i >= len(x) {
+			// Skip the taps past the end of x; they add nothing.
+			skip := i - len(x) + 1
+			j += skip * r.l
+			i -= skip
+		}
 		var acc float64
-		for j := jStart; j < len(r.proto); j += r.l {
-			i := (up - j) / r.l
-			if i < 0 {
-				break
-			}
-			if i >= len(x) {
-				continue
-			}
+		for ; j < len(r.proto) && i >= 0; j, i = j+r.l, i-1 {
 			acc += r.proto[j] * x[i]
 		}
 		out[k] = acc

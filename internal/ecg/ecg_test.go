@@ -370,6 +370,7 @@ func BenchmarkGenerate10s(b *testing.B) {
 
 func BenchmarkChannel256TenSeconds(b *testing.B) {
 	r, _ := RecordByID("100")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Channel256(10, 0); err != nil {

@@ -97,6 +97,15 @@ type beat struct {
 
 // Generate synthesizes seconds of two-channel ECG under cfg.
 func Generate(cfg Config, seconds float64) (*Signal, error) {
+	return generate(cfg, seconds, [2]bool{true, true})
+}
+
+// generate is the renderer behind Generate and Channel256. It renders
+// beat morphology and noise only for the leads set in want and leaves
+// the other MV slices nil. An unrendered lead still makes its noise
+// draws from gen in the same order, so each rendered lead is
+// bit-identical whichever set it was rendered in.
+func generate(cfg Config, seconds float64, want [2]bool) (*Signal, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -107,8 +116,11 @@ func Generate(cfg Config, seconds float64) (*Signal, error) {
 	beats := scheduleBeats(cfg, seconds, gen)
 	n := int(seconds * FsMITBIH)
 	sig := &Signal{Fs: FsMITBIH}
-	sig.MV[0] = make([]float64, n)
-	sig.MV[1] = make([]float64, n)
+	for ch := range sig.MV {
+		if want[ch] {
+			sig.MV[ch] = make([]float64, n)
+		}
+	}
 	// Render each beat additively over its cycle ±25% (T and P tails
 	// extend past the nominal cycle boundaries).
 	for _, b := range beats {
@@ -129,11 +141,16 @@ func Generate(cfg Config, seconds float64) (*Signal, error) {
 		if i1 > n {
 			i1 = n
 		}
-		for i := i0; i < i1; i++ {
-			t := float64(i) / FsMITBIH
-			phase := (t - b.start) / b.dur * 2 * math.Pi
-			sig.MV[0][i] += cfg.AmplitudeScale * l1.value(phase)
-			sig.MV[1][i] += cfg.AmplitudeScale * l2.value(phase)
+		for ch, tmpl := range [2]morphology{l1, l2} {
+			mv := sig.MV[ch]
+			if mv == nil {
+				continue
+			}
+			for i := i0; i < i1; i++ {
+				t := float64(i) / FsMITBIH
+				phase := (t - b.start) / b.dur * 2 * math.Pi
+				mv[i] += cfg.AmplitudeScale * tmpl.value(phase)
+			}
 		}
 		// Annotate the R peak (phase π) of non-dropped beats.
 		rT := b.start + b.dur/2
@@ -142,7 +159,7 @@ func Generate(cfg Config, seconds float64) (*Signal, error) {
 			sig.Ann = append(sig.Ann, Annotation{Time: rT, Sample: rs, Type: b.typ})
 		}
 	}
-	addNoise(cfg, sig, gen)
+	addNoise(cfg, sig, n, gen)
 	return sig, nil
 }
 
@@ -198,10 +215,15 @@ func scheduleBeats(cfg Config, seconds float64, gen *rng.Xoshiro) []beat {
 }
 
 // addNoise layers baseline wander, muscle artifact and powerline
-// interference onto both channels with independent phases/streams.
-func addNoise(cfg Config, sig *Signal, gen *rng.Xoshiro) {
-	n := len(sig.MV[0])
-	for ch := 0; ch < 2; ch++ {
+// interference onto the rendered channels of sig (n samples each) with
+// independent phases/streams. A nil channel gets no sines, only
+// the gen draws it would have made, in order: its phase draws and one
+// NormFloat64 per sample, plus the interleaved f-wave draw in AF.
+func addNoise(cfg Config, sig *Signal, n int, gen *rng.Xoshiro) {
+	for ch, mv := range sig.MV {
+		if mv == nil && ch == len(sig.MV)-1 {
+			return // nothing draws from gen after the last lead
+		}
 		// Baseline wander: respiration-locked plus a slower drift.
 		f1 := cfg.RespRateHz
 		if f1 <= 0 {
@@ -222,6 +244,15 @@ func addNoise(cfg Config, sig *Signal, gen *rng.Xoshiro) {
 		}
 		fPhase := gen.Float64() * 2 * math.Pi
 		fFreq := 5.5 + gen.Float64()
+		if mv == nil {
+			for i := 0; i < n; i++ {
+				gen.NormFloat64()
+				if cfg.AF {
+					gen.NormFloat64()
+				}
+			}
+			continue
+		}
 		for i := 0; i < n; i++ {
 			t := float64(i) / sig.Fs
 			v := cfg.BaselineWanderMV * (0.7*math.Sin(2*math.Pi*f1*t+p1) + 0.3*math.Sin(2*math.Pi*f2*t+p2))
@@ -242,7 +273,7 @@ func addNoise(cfg Config, sig *Signal, gen *rng.Xoshiro) {
 				mod := 1 + 0.3*math.Sin(2*math.Pi*0.1*t)
 				v += fAmp * mod * math.Sin(fPhase)
 			}
-			sig.MV[ch][i] += v
+			mv[i] += v
 		}
 	}
 }

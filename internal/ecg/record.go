@@ -69,12 +69,16 @@ const FullDuration = 1800.0
 
 // Channel256 renders channel ch resampled to the mote's 256 Hz input
 // rate, in ADC counts re-quantized after resampling (the paper feeds
-// 256 Hz samples to the Shimmer serial port).
+// 256 Hz samples to the Shimmer serial port). Only channel ch is
+// rendered; the result is bit-identical to resampling and digitizing
+// Synthesize(seconds).MV[ch].
 func (r Record) Channel256(seconds float64, ch int) ([]int16, error) {
 	if ch < 0 || ch > 1 {
 		return nil, fmt.Errorf("ecg: channel %d out of [0, 1]", ch)
 	}
-	sig, err := r.Synthesize(seconds)
+	var want [2]bool
+	want[ch] = true
+	sig, err := generate(r.Cfg, seconds, want)
 	if err != nil {
 		return nil, err
 	}

@@ -46,23 +46,18 @@ func (g *LCG16) Intn(n int) int {
 
 // SampleK writes k distinct integers from [0, n) into dst in ascending
 // order using repeated rejection, mirroring the mote's column-support
-// generation. It panics if k > n.
+// generation: each draw is checked against the sorted prefix already
+// chosen and inserted in place, with no set in memory. It panics if
+// k > n or len(dst) < k.
 func (g *LCG16) SampleK(dst []int, k, n int) {
-	if k > n {
-		panic("rng: LCG16.SampleK with k > n")
+	if k > n || len(dst) < k {
+		panic("rng: LCG16.SampleK with k > n or len(dst) < k")
 	}
-	seen := make(map[int]struct{}, k)
-	i := 0
-	for i < k {
-		v := g.Intn(n)
-		if _, dup := seen[v]; dup {
-			continue
+	for i := 0; i < k; {
+		if insertSorted(dst, i, g.Intn(n)) {
+			i++
 		}
-		seen[v] = struct{}{}
-		dst[i] = v
-		i++
 	}
-	insertionSort(dst[:k])
 }
 
 // State returns the current internal state, letting the decoder clone the

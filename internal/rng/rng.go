@@ -173,32 +173,32 @@ func (x *Xoshiro) Perm(dst []int) {
 // SampleK writes k distinct integers drawn uniformly from [0, n) into dst
 // in ascending order. It panics if k > n or len(dst) < k. The selection
 // uses Floyd's algorithm, touching O(k) memory, which matters when the
-// mote regenerates the support of one sensing-matrix column at a time.
+// mote regenerates the support of one sensing-matrix column at a time;
+// membership is a scan of the sorted prefix of dst, so no set is built.
 func (x *Xoshiro) SampleK(dst []int, k, n int) {
-	if k > n {
-		panic("rng: SampleK with k > n")
+	if k > n || len(dst) < k {
+		panic("rng: SampleK with k > n or len(dst) < k")
 	}
-	chosen := make(map[int]struct{}, k)
-	for j := n - k; j < n; j++ {
-		t := x.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
-			t = j
+	for i, j := 0, n-k; j < n; i, j = i+1, j+1 {
+		if !insertSorted(dst, i, x.Intn(j+1)) {
+			// j exceeds every earlier pick, so it extends the prefix.
+			dst[i] = j
 		}
-		chosen[t] = struct{}{}
 	}
-	i := 0
-	//csecg:orderok dst is insertion-sorted below, erasing iteration order
-	for v := range chosen {
-		dst[i] = v
-		i++
-	}
-	insertionSort(dst[:k])
 }
 
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+// insertSorted inserts v into the ascending prefix a[:i], shifting the
+// larger entries up one place, and reports whether it did: a v already
+// in the prefix leaves a unchanged. a must have room for i+1 entries.
+func insertSorted(a []int, i, v int) bool {
+	j := i
+	for j > 0 && a[j-1] > v {
+		j--
 	}
+	if j > 0 && a[j-1] == v {
+		return false
+	}
+	copy(a[j+1:i+1], a[j:i])
+	a[j] = v
+	return true
 }
